@@ -3,6 +3,8 @@
 //! * **batch size** (the fairness parameter): the paper sets batch
 //!   `= t + 1`; this sweep shows the round-time / throughput trade-off of
 //!   larger batches;
+//! * **entry size**: one payload per signed entry (the paper prototype)
+//!   vs up to `MAX_ENTRY_PAYLOADS` queued payloads per entry;
 //! * **candidate order** in multi-valued agreement: fixed vs the
 //!   locally-random permutation the experiments used (§2.4 variants);
 //! * **reliable vs consistent broadcast**: the message-count vs
@@ -10,9 +12,13 @@
 //!   expensive ones);
 //! * **threshold-signature flavor** at a fixed 1024-bit key size.
 //!
+//! Every atomic-channel row except the entry-size comparison uses the
+//! paper prototype's one payload per entry.
+//!
 //! Run with: `cargo bench -p sintra-bench --bench ablations`
 
 use sintra_core::channel::{AtomicChannelConfig, OptimisticChannelConfig};
+use sintra_core::message::MAX_ENTRY_PAYLOADS;
 use sintra_core::{agreement::CandidateOrder, ProtocolId};
 use sintra_crypto::thsig::SigFlavor;
 use sintra_net::sim::Simulation;
@@ -25,6 +31,14 @@ fn messages() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(60)
+}
+
+/// The paper prototype's atomic channel: one payload per signed entry.
+fn paper() -> AtomicChannelConfig {
+    AtomicChannelConfig {
+        max_entry_payloads: 1,
+        ..AtomicChannelConfig::default()
+    }
 }
 
 /// Mean sec/delivery of an atomic channel with explicit config and
@@ -83,6 +97,7 @@ fn main() {
         let config = AtomicChannelConfig {
             fairness: Some(f),
             order: CandidateOrder::LocalRandom,
+            ..paper()
         };
         let (mean, msgs) = atomic_mean_multi(
             Setup::Internet,
@@ -96,6 +111,29 @@ fn main() {
     println!("# larger batches deliver more payloads per agreement round:");
     println!("# throughput rises at equal round cost, amortizing the agreement.");
 
+    // --- Entry size ---------------------------------------------------------
+    println!("\n## entry-size ablation (Internet, n=4 t=1, 3 senders, batch 2)");
+    println!(
+        "{:>12} {:>14} {:>12}",
+        "payloads", "sec/delivery", "messages"
+    );
+    for cap in [1, MAX_ENTRY_PAYLOADS] {
+        let config = AtomicChannelConfig {
+            max_entry_payloads: cap,
+            ..AtomicChannelConfig::default()
+        };
+        let (mean, msgs) = atomic_mean_multi(
+            Setup::Internet,
+            SigFlavor::Multi,
+            config,
+            &[0, 1, 2],
+            count / 3,
+        );
+        println!("{cap:>12} {mean:>14.2} {msgs:>12}");
+    }
+    println!("# one entry signs up to `payloads` queued messages: with every message");
+    println!("# queued at t = 0 a round delivers whole queues, not t+1 messages.");
+
     // --- Candidate order --------------------------------------------------
     println!("\n## MVBA candidate-order ablation (Internet)");
     println!("{:>12} {:>14}", "order", "sec/delivery");
@@ -104,10 +142,7 @@ fn main() {
         ("local-random", CandidateOrder::LocalRandom),
         ("common-coin", CandidateOrder::CommonCoin),
     ] {
-        let config = AtomicChannelConfig {
-            fairness: None,
-            order,
-        };
+        let config = AtomicChannelConfig { order, ..paper() };
         let (mean, _) = atomic_mean(Setup::Internet, SigFlavor::Multi, config, count);
         println!("{label:>12} {mean:>14.2}");
     }
@@ -166,12 +201,7 @@ fn main() {
         "protocol", "setup", "sec/delivery", "messages"
     );
     for setup in [Setup::Lan, Setup::Internet] {
-        let (base, base_msgs) = atomic_mean(
-            setup,
-            SigFlavor::Multi,
-            AtomicChannelConfig::default(),
-            count,
-        );
+        let (base, base_msgs) = atomic_mean(setup, SigFlavor::Multi, paper(), count);
         println!(
             "{:>14} {:>10} {base:>14.2} {base_msgs:>12}",
             "randomized",
@@ -209,20 +239,10 @@ fn main() {
     // --- Signature flavor at fixed size ------------------------------------
     println!("\n## signature-flavor ablation (LAN, 1024-bit, batch = t+1)");
     println!("{:>12} {:>14}", "flavor", "sec/delivery");
-    let (multi, _) = atomic_mean(
-        Setup::Lan,
-        SigFlavor::Multi,
-        AtomicChannelConfig::default(),
-        count,
-    );
+    let (multi, _) = atomic_mean(Setup::Lan, SigFlavor::Multi, paper(), count);
     println!("{:>12} {multi:>14.2}", "multi");
     let shoup_count = count.min(30); // Shoup shares are ~10x more compute
-    let (shoup, _) = atomic_mean(
-        Setup::Lan,
-        SigFlavor::ShoupRsa,
-        AtomicChannelConfig::default(),
-        shoup_count,
-    );
+    let (shoup, _) = atomic_mean(Setup::Lan, SigFlavor::ShoupRsa, paper(), shoup_count);
     println!("{:>12} {shoup:>14.2}", "shoup-rsa");
     println!("# paper: multi-signatures win at 1024 bits thanks to CRT exponentiation.");
 }

@@ -3,19 +3,28 @@
 //! The protocol proceeds in global rounds, following the structure of
 //! Chandra–Toueg atomic broadcast transplanted to the Byzantine setting:
 //!
-//! 1. every party signs its next payload together with the round number
-//!    and sends the signed *entry* to all parties; a party with nothing to
-//!    send may *adopt* another party's payload and sign that;
+//! 1. every party signs a list of its undelivered queued payloads, in
+//!    queue order, at most `max_entry_payloads` of them and, beyond the
+//!    front one, no more than fit the byte budget of
+//!    [`entry_byte_budget`] (so a full batch always fits one wire
+//!    message), together with the round number, and sends the signed
+//!    *entry* to all parties; a
+//!    party with nothing to send may *adopt* another party's entry and
+//!    sign its whole list (with `max_entry_payloads = 1` this is the
+//!    paper's one payload per party per round);
 //! 2. once a party holds a *batch* of `n - f + 1` entries signed by
 //!    distinct parties, it proposes the batch to a multi-valued agreement
 //!    whose external validity predicate checks exactly that property;
 //! 3. all payloads of the agreed batch are delivered in a fixed order
-//!    (by signer index), deduplicated by `(origin, sequence-number)` —
-//!    the paper's practical weakening of integrity.
+//!    (by signer index, then list order), deduplicated by
+//!    `(origin, sequence-number)` — the paper's practical weakening of
+//!    integrity.
 //!
 //! Fairness: with batch size `n - f + 1`, a payload known to `f` honest
 //! parties is delivered within a bounded number of rounds, because every
-//! agreed batch contains at least one entry signed by one of them.
+//! agreed batch contains at least one entry signed by one of them. An
+//! entry always starts with the front of its signer's queue, so a list of
+//! several payloads only adds to what the paper's single payload carries.
 //!
 //! Termination: `close` enqueues a termination request as a regular
 //! payload; the channel terminates at the end of the round in which
@@ -30,7 +39,9 @@ use crate::config::GroupContext;
 use crate::ids::{PartyId, ProtocolId};
 use crate::invariant::OrInvariant;
 use crate::invariant_unwrap;
-use crate::message::{statement_entry, Body, Entry, Payload, PayloadKind};
+use crate::message::{
+    entry_byte_budget, statement_entry, Body, Entry, Payload, PayloadKind, MAX_ENTRY_PAYLOADS,
+};
 use crate::outgoing::Outgoing;
 use crate::validator::ArrayValidator;
 use crate::wire::Wire;
@@ -44,6 +55,10 @@ pub struct AtomicChannelConfig {
     pub fairness: Option<usize>,
     /// Candidate order for the inner multi-valued agreements.
     pub order: CandidateOrder,
+    /// Most payloads a party signs into its entry per round
+    /// (`1..=MAX_ENTRY_PAYLOADS`); entries carrying more are rejected.
+    /// `1` reproduces the paper prototype.
+    pub max_entry_payloads: usize,
 }
 
 impl Default for AtomicChannelConfig {
@@ -51,6 +66,7 @@ impl Default for AtomicChannelConfig {
         AtomicChannelConfig {
             fairness: None,
             order: CandidateOrder::LocalRandom,
+            max_entry_payloads: MAX_ENTRY_PAYLOADS,
         }
     }
 }
@@ -62,6 +78,9 @@ pub struct AtomicChannel {
     ctx: GroupContext,
     batch_size: usize,
     order: CandidateOrder,
+    max_entry_payloads: usize,
+    /// Byte budget of a multi-payload entry's list ([`entry_byte_budget`]).
+    entry_bytes: usize,
     round: u64,
     /// Own payloads not yet delivered.
     queue: VecDeque<Payload>,
@@ -115,12 +134,17 @@ impl AtomicChannel {
     ///
     /// # Panics
     ///
-    /// Panics if the fairness parameter is outside `t + 1 ..= n - t`.
+    /// Panics if the fairness parameter is outside `t + 1 ..= n - t`, or
+    /// `max_entry_payloads` outside `1 ..= MAX_ENTRY_PAYLOADS`.
     pub fn new(pid: ProtocolId, ctx: GroupContext, config: AtomicChannelConfig) -> Self {
         let f = config.fairness.unwrap_or(ctx.n_minus_t());
         assert!(
             f >= ctx.one_honest() && f <= ctx.n_minus_t(),
             "fairness must satisfy t+1 <= f <= n-t"
+        );
+        assert!(
+            (1..=MAX_ENTRY_PAYLOADS).contains(&config.max_entry_payloads),
+            "max_entry_payloads must satisfy 1 <= cap <= MAX_ENTRY_PAYLOADS"
         );
         let batch_size = ctx.fairness_batch(f);
         AtomicChannel {
@@ -128,6 +152,8 @@ impl AtomicChannel {
             ctx,
             batch_size,
             order: config.order,
+            max_entry_payloads: config.max_entry_payloads,
+            entry_bytes: entry_byte_budget(batch_size),
             round: 0,
             queue: VecDeque::new(),
             next_seq: 0,
@@ -171,14 +197,7 @@ impl AtomicChannel {
     /// Panics after `close` has been called.
     pub fn send(&mut self, data: Vec<u8>, out: &mut Outgoing) {
         assert!(self.can_send(), "channel is closing or closed");
-        let payload = Payload {
-            origin: self.ctx.me(),
-            seq: self.next_seq,
-            kind: PayloadKind::App,
-            data,
-        };
-        self.next_seq += 1;
-        self.queue.push_back(payload);
+        self.enqueue(PayloadKind::App, data);
         self.try_advance(out);
     }
 
@@ -189,15 +208,19 @@ impl AtomicChannel {
             return;
         }
         self.close_requested = true;
-        let payload = Payload {
+        self.enqueue(PayloadKind::Close, Vec::new());
+        self.try_advance(out);
+    }
+
+    /// Appends an own payload to the queue under the next sequence number.
+    fn enqueue(&mut self, kind: PayloadKind, data: Vec<u8>) {
+        self.queue.push_back(Payload {
             origin: self.ctx.me(),
             seq: self.next_seq,
-            kind: PayloadKind::Close,
-            data: Vec::new(),
-        };
+            kind,
+            data,
+        });
         self.next_seq += 1;
-        self.queue.push_back(payload);
-        self.try_advance(out);
     }
 
     /// Whether a delivery is waiting to be received.
@@ -231,10 +254,16 @@ impl AtomicChannel {
         self.queue.len()
     }
 
+    /// External validity of a round's batch: `batch_size` well-formed
+    /// entries (payload count and byte budget) from distinct signers, each
+    /// signature covering exactly its payload list. Stateless, so every honest party judges a batch
+    /// alike; payloads delivered in earlier rounds are dropped at delivery.
     fn batch_validator(&self, round: u64) -> ArrayValidator {
         let pid = self.pid.clone();
+        let ctx = self.ctx.clone();
         let batch_size = self.batch_size;
-        let keys: Vec<_> = self.ctx.keys().common.sig_publics.clone();
+        let cap = self.max_entry_payloads;
+        let entry_bytes = self.entry_bytes;
         ArrayValidator::new(move |bytes| {
             let Ok(batch) = Batch::from_bytes(bytes) else {
                 return false;
@@ -242,17 +271,15 @@ impl AtomicChannel {
             if batch.0.len() != batch_size {
                 return false;
             }
+            let keys = &ctx.keys().common.sig_publics;
             let mut signers = BTreeSet::new();
-            for entry in &batch.0 {
-                if entry.signer.0 >= keys.len() || !signers.insert(entry.signer) {
-                    return false;
-                }
-                let statement = statement_entry(&pid, round, &entry.payload);
-                if !keys[entry.signer.0].verify(&statement, &entry.sig) {
-                    return false;
-                }
-            }
-            true
+            batch.0.iter().all(|entry| {
+                entry.signer.0 < keys.len()
+                    && signers.insert(entry.signer)
+                    && entry.is_well_formed(cap, entry_bytes)
+                    && keys[entry.signer.0]
+                        .verify(&statement_entry(&pid, round, &entry.payloads), &entry.sig)
+            })
         })
     }
 
@@ -303,7 +330,10 @@ impl AtomicChannel {
 
     fn on_entry(&mut self, from: PartyId, round: u64, entry: &Entry) {
         // Entries are broadcast by their signer.
-        if entry.signer != from || round < self.round {
+        if entry.signer != from
+            || round < self.round
+            || !entry.is_well_formed(self.max_entry_payloads, self.entry_bytes)
+        {
             return;
         }
         if self
@@ -313,13 +343,14 @@ impl AtomicChannel {
         {
             return;
         }
-        if self
-            .delivered
-            .contains(&(entry.payload.origin, entry.payload.seq))
+        if entry
+            .payloads
+            .iter()
+            .any(|p| self.delivered.contains(&(p.origin, p.seq)))
         {
             return;
         }
-        let statement = statement_entry(&self.pid, round, &entry.payload);
+        let statement = statement_entry(&self.pid, round, &entry.payloads);
         if !self
             .ctx
             .verify_party_sig_cached(from, &statement, &entry.sig)
@@ -341,35 +372,45 @@ impl AtomicChannel {
 
             // Step 1: broadcast our signed entry for this round.
             if !self.sent_entry.contains(&round) {
-                // Drop already-delivered payloads from the head of the queue.
-                while let Some(front) = self.queue.front() {
-                    if self.delivered.contains(&(front.origin, front.seq)) {
-                        self.queue.pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                let payload = if let Some(own) = self.queue.front() {
-                    Some(own.clone())
-                } else {
+                let delivered = &self.delivered;
+                self.queue
+                    .retain(|p| !delivered.contains(&(p.origin, p.seq)));
+                let payloads = if self.queue.is_empty() {
                     // Adopt ("a party may also adopt a message that was
                     // first signed by another party and sign that"): relay
-                    // the first-arrived undelivered payload. This keeps
-                    // every honest party contributing an entry each round,
-                    // which the proposal gate below relies on.
+                    // the whole list of the first-arrived entry none of
+                    // whose payloads is delivered. This keeps every honest
+                    // party contributing an entry each round, which the
+                    // proposal gate below relies on.
                     self.entries.get(&round).and_then(|entries| {
                         entries
                             .iter()
-                            .map(|e| &e.payload)
-                            .find(|p| !self.delivered.contains(&(p.origin, p.seq)))
-                            .cloned()
+                            .find(|e| {
+                                e.payloads
+                                    .iter()
+                                    .all(|p| !delivered.contains(&(p.origin, p.seq)))
+                            })
+                            .map(|e| e.payloads.clone())
                     })
+                } else {
+                    // The front payload always goes in; later ones join
+                    // while the list stays within the byte budget.
+                    let mut list_len = 4;
+                    let mut payloads = Vec::new();
+                    for p in self.queue.iter().take(self.max_entry_payloads) {
+                        list_len += p.encoded_len();
+                        if !payloads.is_empty() && list_len > self.entry_bytes {
+                            break;
+                        }
+                        payloads.push(p.clone());
+                    }
+                    Some(payloads)
                 };
-                if let Some(payload) = payload {
-                    let statement = statement_entry(&self.pid, round, &payload);
+                if let Some(payloads) = payloads {
+                    let statement = statement_entry(&self.pid, round, &payloads);
                     let sig = self.ctx.keys().sig_key.sign(&statement);
                     let entry = Entry {
-                        payload,
+                        payloads,
                         signer: self.ctx.me(),
                         sig,
                     };
@@ -390,9 +431,9 @@ impl AtomicChannel {
             if have >= self.ctx.n_minus_t().max(self.batch_size) && !self.proposed.contains(&round)
             {
                 self.proposed.insert(round);
-                // Prefer entries carrying distinct payloads (in arrival
-                // order) so a batch delivers as many new payloads as
-                // possible; pad with duplicates only if needed.
+                // Prefer entries that add payloads not yet covered (in
+                // arrival order) so a batch delivers as many new payloads
+                // as possible; pad with duplicates only if needed.
                 let all = invariant_unwrap!(
                     self.entries.get(&round),
                     "entry set for round {round} missing at proposal"
@@ -403,7 +444,11 @@ impl AtomicChannel {
                     if batch_entries.len() == self.batch_size {
                         break;
                     }
-                    if seen_payloads.insert((entry.payload.origin, entry.payload.seq)) {
+                    let mut adds_new = false;
+                    for p in &entry.payloads {
+                        adds_new |= seen_payloads.insert((p.origin, p.seq));
+                    }
+                    if adds_new {
                         batch_entries.push(entry.clone());
                     }
                 }
@@ -431,27 +476,30 @@ impl AtomicChannel {
             let batch = Batch::from_bytes(&decided)
                 .or_invariant("externally validated batch failed to decode");
             let mut batch_entries = batch.0;
-            let batch_len = batch_entries.len() as u64;
+            // Fixed delivery order within the batch: by signer index, then
+            // list order.
+            batch_entries.sort_by_key(|e| e.signer);
+            let mut fresh = 0u64;
+            for payload in batch_entries.into_iter().flat_map(|e| e.payloads) {
+                if !self.delivered.insert((payload.origin, payload.seq)) {
+                    continue;
+                }
+                fresh += 1;
+                match payload.kind {
+                    PayloadKind::App => self.deliveries.push_back(payload),
+                    PayloadKind::Close => {
+                        self.close_origins.insert(payload.origin);
+                    }
+                }
+            }
+            // One `batch` event per round, carrying the payloads it newly
+            // delivered.
             out.trace_with(|| {
                 TraceEvent::new(self.ctx.me().0, self.pid.as_str(), "atomic")
                     .phase("batch")
                     .round(round)
-                    .bytes(batch_len)
+                    .bytes(fresh)
             });
-            // Fixed delivery order within the batch: by signer index.
-            batch_entries.sort_by_key(|e| e.signer);
-            for entry in batch_entries {
-                let key = (entry.payload.origin, entry.payload.seq);
-                if !self.delivered.insert(key) {
-                    continue;
-                }
-                match entry.payload.kind {
-                    PayloadKind::App => self.deliveries.push_back(entry.payload),
-                    PayloadKind::Close => {
-                        self.close_origins.insert(entry.payload.origin);
-                    }
-                }
-            }
             // Clean up the finished round.
             self.vbas.remove(&round);
             self.entries.remove(&round);
@@ -524,15 +572,39 @@ mod tests {
     }
 
     fn channels(ctxs: &[GroupContext], tag: &str) -> Vec<AtomicChannel> {
+        channels_with(ctxs, tag, AtomicChannelConfig::default())
+    }
+
+    fn channels_with(
+        ctxs: &[GroupContext],
+        tag: &str,
+        config: AtomicChannelConfig,
+    ) -> Vec<AtomicChannel> {
         ctxs.iter()
-            .map(|c| {
-                AtomicChannel::new(
-                    ProtocolId::new(tag),
-                    c.clone(),
-                    AtomicChannelConfig::default(),
-                )
-            })
+            .map(|c| AtomicChannel::new(ProtocolId::new(tag), c.clone(), config))
             .collect()
+    }
+
+    fn app(origin: usize, seq: u64) -> Payload {
+        Payload {
+            origin: PartyId(origin),
+            seq,
+            kind: PayloadKind::App,
+            data: vec![seq as u8],
+        }
+    }
+
+    /// An entry over `payloads` for `round`, signed by `ctx`'s party.
+    fn signed(ctx: &GroupContext, pid: &ProtocolId, round: u64, payloads: Vec<Payload>) -> Entry {
+        let sig = ctx
+            .keys()
+            .sig_key
+            .sign(&statement_entry(pid, round, &payloads));
+        Entry {
+            payloads,
+            signer: ctx.me(),
+            sig,
+        }
     }
 
     /// Delivers all queued messages FIFO until quiescence.
@@ -587,6 +659,163 @@ mod tests {
             }
             assert_eq!(got, vec![0, 1, 2, 3, 4], "party {p}");
         }
+    }
+
+    #[test]
+    fn queued_payloads_share_one_entry() {
+        // Five payloads queued before the channel first advances: the
+        // default cap signs them into one entry and delivers them in one
+        // round; cap 1 (the paper prototype) needs a round each.
+        for (cap, rounds) in [(MAX_ENTRY_PAYLOADS, 1), (1, 5)] {
+            let ctxs = group(4, 1);
+            let config = AtomicChannelConfig {
+                max_entry_payloads: cap,
+                ..AtomicChannelConfig::default()
+            };
+            let mut chans = channels_with(&ctxs, "ac-queued", config);
+            for i in 0..5u8 {
+                chans[0].enqueue(PayloadKind::App, vec![i]);
+            }
+            let mut out = Outgoing::new();
+            chans[0].try_advance(&mut out);
+            pump(&mut chans, vec![(0, out)]);
+            for (p, chan) in chans.iter_mut().enumerate() {
+                let mut got = Vec::new();
+                while let Some(payload) = chan.take_delivery() {
+                    got.push(payload.data[0]);
+                }
+                assert_eq!(got, vec![0, 1, 2, 3, 4], "cap {cap}, party {p}");
+                assert_eq!(chan.round(), rounds, "cap {cap}, party {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn tampered_entry_list_rejected() {
+        let ctxs = group(4, 1);
+        let pid = ProtocolId::new("ac-tamper");
+        let mut chan = AtomicChannel::new(pid.clone(), ctxs[0].clone(), Default::default());
+        let valid = signed(&ctxs[1], &pid, 0, vec![app(1, 0), app(1, 1), app(1, 2)]);
+        let other = signed(&ctxs[2], &pid, 0, vec![app(2, 0)]);
+        let validator = chan.batch_validator(0);
+        let batch = |e: &Entry| Batch(vec![e.clone(), other.clone()]).to_bytes();
+        assert!(validator.is_valid(&batch(&valid)));
+
+        let mut dropped = valid.clone();
+        dropped.payloads.remove(1);
+        let mut reordered = valid.clone();
+        reordered.payloads.swap(0, 1);
+        for tampered in [dropped, reordered] {
+            assert!(!validator.is_valid(&batch(&tampered)));
+            chan.handle(
+                PartyId(1),
+                &pid,
+                &Body::AcEntry {
+                    round: 0,
+                    entry: tampered,
+                },
+                &mut Outgoing::new(),
+            );
+            assert!(chan.entries.get(&0).is_none_or(|es| es.is_empty()));
+        }
+    }
+
+    #[test]
+    fn entry_repeating_a_payload_rejected() {
+        let ctxs = group(4, 1);
+        let pid = ProtocolId::new("ac-repeat");
+        let mut chan = AtomicChannel::new(pid.clone(), ctxs[0].clone(), Default::default());
+        let mut twin = app(1, 0);
+        twin.data = b"twin".to_vec();
+        let repeated = signed(&ctxs[1], &pid, 0, vec![app(1, 0), twin]);
+        let other = signed(&ctxs[2], &pid, 0, vec![app(2, 0)]);
+        assert!(!chan
+            .batch_validator(0)
+            .is_valid(&Batch(vec![repeated.clone(), other]).to_bytes()));
+        chan.handle(
+            PartyId(1),
+            &pid,
+            &Body::AcEntry {
+                round: 0,
+                entry: repeated,
+            },
+            &mut Outgoing::new(),
+        );
+        assert!(chan.entries.get(&0).is_none_or(|es| es.is_empty()));
+    }
+
+    #[test]
+    fn entry_over_configured_cap_rejected() {
+        let ctxs = group(4, 1);
+        let pid = ProtocolId::new("ac-cap");
+        let config = AtomicChannelConfig {
+            max_entry_payloads: 2,
+            ..AtomicChannelConfig::default()
+        };
+        let mut chan = AtomicChannel::new(pid.clone(), ctxs[0].clone(), config);
+        let long = signed(&ctxs[1], &pid, 0, vec![app(1, 0), app(1, 1), app(1, 2)]);
+        let other = signed(&ctxs[2], &pid, 0, vec![app(2, 0)]);
+        assert!(!chan
+            .batch_validator(0)
+            .is_valid(&Batch(vec![long.clone(), other]).to_bytes()));
+        chan.handle(
+            PartyId(1),
+            &pid,
+            &Body::AcEntry {
+                round: 0,
+                entry: long,
+            },
+            &mut Outgoing::new(),
+        );
+        assert!(chan.entries.get(&0).is_none_or(|es| es.is_empty()));
+    }
+
+    #[test]
+    fn entries_respect_the_byte_budget() {
+        let ctxs = group(4, 1);
+        let sized = |seq: u64, len: usize| Payload {
+            data: vec![seq as u8; len],
+            ..app(0, seq)
+        };
+        let own_entry = |payloads: Vec<Payload>| {
+            let mut chan = AtomicChannel::new(
+                ProtocolId::new("ac-bytes"),
+                ctxs[0].clone(),
+                Default::default(),
+            );
+            chan.queue.extend(payloads);
+            chan.try_advance(&mut Outgoing::new());
+            chan.entries[&0][0].payloads.len()
+        };
+        let budget = entry_byte_budget(2);
+        // A quarter-budget payload fits three times, not four; the front
+        // payload goes in even when it alone is over the budget.
+        assert_eq!(own_entry((0..5).map(|s| sized(s, budget / 4)).collect()), 3);
+        assert_eq!(own_entry(vec![sized(0, budget), sized(1, 1)]), 1);
+
+        // A validly signed pair over the budget is ignored and fails the
+        // batch validator.
+        let pid = ProtocolId::new("ac-bytes");
+        let mut chan = AtomicChannel::new(pid.clone(), ctxs[0].clone(), Default::default());
+        let half = |seq| Payload {
+            data: vec![0; budget / 2],
+            ..app(1, seq)
+        };
+        let over = signed(&ctxs[1], &pid, 0, vec![half(0), half(1)]);
+        let other = signed(&ctxs[2], &pid, 0, vec![app(2, 0)]);
+        assert!(!chan
+            .batch_validator(0)
+            .is_valid(&Batch(vec![over.clone(), other]).to_bytes()));
+        chan.handle(
+            PartyId(1),
+            &pid,
+            &Body::AcEntry {
+                round: 0,
+                entry: over,
+            },
+            &mut Outgoing::new(),
+        );
+        assert!(chan.entries.get(&0).is_none_or(|es| es.is_empty()));
     }
 
     #[test]
@@ -695,10 +924,11 @@ mod tests {
             data: b"evil".to_vec(),
         };
         // Signature by the wrong party.
-        let statement = statement_entry(&ProtocolId::new("ac-forge"), 0, &payload);
+        let payloads = vec![payload];
+        let statement = statement_entry(&ProtocolId::new("ac-forge"), 0, &payloads);
         let sig = ctxs[3].keys().sig_key.sign(&statement);
         let entry = Entry {
-            payload,
+            payloads,
             signer: PartyId(2),
             sig,
         };
@@ -734,6 +964,7 @@ mod tests {
             AtomicChannelConfig {
                 fairness: Some(3), // t+1
                 order: CandidateOrder::Fixed,
+                ..AtomicChannelConfig::default()
             },
         );
         assert_eq!(chan.batch_size(), 7 - 3 + 1);

@@ -12,7 +12,7 @@ use sintra_crypto::thenc::DecryptionShare;
 use sintra_crypto::thsig::{SigShare, ThresholdSignature};
 
 use crate::ids::{PartyId, ProtocolId};
-use crate::wire::{put_bytes, Reader, Wire, WireError};
+use crate::wire::{put_bytes, put_list, Reader, Wire, WireError, MAX_LEN};
 
 /// A main-vote value in binary Byzantine agreement: a bit or "abstain".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,16 +90,68 @@ pub struct Payload {
     pub data: Vec<u8>,
 }
 
-/// An atomic-channel batch entry: a payload signed (possibly by an
-/// adopting relay, not the origin) together with the round number.
+impl Payload {
+    /// Length of this payload's wire encoding: origin, sequence number,
+    /// kind tag and length-prefixed data.
+    pub fn encoded_len(&self) -> usize {
+        4 + 8 + 1 + 4 + self.data.len()
+    }
+}
+
+/// Most payloads one atomic-channel entry may carry.
+pub const MAX_ENTRY_PAYLOADS: usize = 64;
+
+/// Most encoded bytes of the payload list of an atomic-channel entry that
+/// carries more than one payload. A single payload may be larger: the
+/// bound only limits how many queued payloads join the front one.
+pub const MAX_ENTRY_BYTES: usize = 1 << 20;
+
+/// Byte budget for the payload list of a multi-payload entry in a channel
+/// whose batches hold `batch_size` entries: at most [`MAX_ENTRY_BYTES`],
+/// and small enough that a full batch, wrapped with its signatures in the
+/// agreement's largest message, stays within [`MAX_LEN`].
+pub fn entry_byte_budget(batch_size: usize) -> usize {
+    // Envelope, protocol id, threshold signature and vote justification
+    // around the batch.
+    const BATCH_OVERHEAD: usize = 64 * 1024;
+    // Signer index and RSA signature beside each list.
+    const ENTRY_OVERHEAD: usize = 4 * 1024;
+    ((MAX_LEN - BATCH_OVERHEAD) / batch_size.max(1))
+        .saturating_sub(ENTRY_OVERHEAD)
+        .min(MAX_ENTRY_BYTES)
+}
+
+/// An atomic-channel batch entry: a list of payloads signed (possibly by
+/// an adopting relay, not the origins) together with the round number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
-    /// The payload being proposed for this round.
-    pub payload: Payload,
-    /// The party whose signature covers `(pid, round, payload)`.
+    /// The payloads proposed for this round, in delivery order
+    /// (`1..=MAX_ENTRY_PAYLOADS` of them).
+    pub payloads: Vec<Payload>,
+    /// The party whose signature covers `(pid, round, payloads)`.
     pub signer: PartyId,
     /// That party's standard RSA signature.
     pub sig: RsaSignature,
+}
+
+impl Entry {
+    /// Whether the payload list is well formed: between 1 and `cap`
+    /// payloads, no `(origin, seq)` twice, and, unless it holds a single
+    /// payload, at most `byte_budget` encoded bytes.
+    pub fn is_well_formed(&self, cap: usize, byte_budget: usize) -> bool {
+        let mut ids: Vec<_> = self.payloads.iter().map(|p| (p.origin, p.seq)).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        !ids.is_empty()
+            && ids.len() == self.payloads.len()
+            && ids.len() <= cap
+            && (ids.len() == 1 || payload_list_len(&self.payloads) <= byte_budget)
+    }
+}
+
+/// Length of the wire encoding of a payload list.
+pub fn payload_list_len(payloads: &[Payload]) -> usize {
+    4 + payloads.iter().map(Payload::encoded_len).sum::<usize>()
 }
 
 /// The body of a network message, covering every protocol in the stack.
@@ -336,13 +388,13 @@ pub fn coin_name(pid: &ProtocolId, round: u32) -> Vec<u8> {
     statement("ba-coin", pid, &[&round.to_be_bytes()])
 }
 
-/// Statement signed over an atomic-channel entry `(pid, round, payload)`.
-pub fn statement_entry(pid: &ProtocolId, round: u64, payload: &Payload) -> Vec<u8> {
-    statement(
-        "ac-entry",
-        pid,
-        &[&round.to_be_bytes(), &payload.to_bytes()],
-    )
+/// Statement signed over an atomic-channel entry `(pid, round, payloads)`.
+/// The list is encoded as on the wire, so it binds every payload and
+/// their order.
+pub fn statement_entry(pid: &ProtocolId, round: u64, payloads: &[Payload]) -> Vec<u8> {
+    let mut list = Vec::new();
+    put_list(&mut list, payloads);
+    statement("ac-entry", pid, &[&round.to_be_bytes(), &list])
 }
 
 /// Statement signed by an optimistic-channel acknowledgement.
@@ -536,13 +588,17 @@ impl Wire for Payload {
 
 impl Wire for Entry {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.payload.encode(buf);
+        self.payloads.encode(buf);
         self.signer.encode(buf);
         self.sig.encode(buf);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let payloads = Vec::<Payload>::decode(r)?;
+        if payloads.is_empty() || payloads.len() > MAX_ENTRY_PAYLOADS {
+            return Err(WireError::LengthOverflow);
+        }
         Ok(Entry {
-            payload: Payload::decode(r)?,
+            payloads,
             signer: PartyId::decode(r)?,
             sig: RsaSignature::decode(r)?,
         })
@@ -799,16 +855,73 @@ mod tests {
         roundtrip(Body::AcEntry {
             round: 12,
             entry: Entry {
-                payload: Payload {
-                    origin: PartyId(1),
-                    seq: 42,
-                    kind: PayloadKind::Close,
-                    data: vec![1, 2, 3],
-                },
+                payloads: (0..3u64)
+                    .map(|seq| Payload {
+                        origin: PartyId(seq as usize),
+                        seq: 40 + seq,
+                        kind: if seq == 2 {
+                            PayloadKind::Close
+                        } else {
+                            PayloadKind::App
+                        },
+                        data: vec![1, 2, seq as u8],
+                    })
+                    .collect(),
                 signer: PartyId(3),
                 sig: RsaSignature(sintra_bigint::Ubig::from(5u64)),
             },
         });
+    }
+
+    #[test]
+    fn entry_decode_bounds_payload_count() {
+        let payload = Payload {
+            origin: PartyId(0),
+            seq: 0,
+            kind: PayloadKind::App,
+            data: vec![],
+        };
+        let entry = |count: usize| Entry {
+            payloads: vec![payload.clone(); count],
+            signer: PartyId(0),
+            sig: RsaSignature(sintra_bigint::Ubig::from(5u64)),
+        };
+        assert!(Entry::from_bytes(&entry(1).to_bytes()).is_ok());
+        assert!(Entry::from_bytes(&entry(MAX_ENTRY_PAYLOADS).to_bytes()).is_ok());
+        assert!(Entry::from_bytes(&entry(0).to_bytes()).is_err());
+        assert!(Entry::from_bytes(&entry(MAX_ENTRY_PAYLOADS + 1).to_bytes()).is_err());
+    }
+
+    #[test]
+    fn entry_byte_budget_bounds_multi_payload_lists() {
+        let payload = |seq: u64, len: usize| Payload {
+            origin: PartyId(1),
+            seq,
+            kind: PayloadKind::App,
+            data: vec![7; len],
+        };
+        let entry = |payloads: Vec<Payload>| Entry {
+            payloads,
+            signer: PartyId(1),
+            sig: RsaSignature(sintra_bigint::Ubig::from(5u64)),
+        };
+        let list = vec![payload(0, 100), payload(1, 0)];
+        let mut encoded = Vec::new();
+        put_list(&mut encoded, &list);
+        assert_eq!(payload_list_len(&list), encoded.len());
+
+        let budget = payload_list_len(&list);
+        assert!(entry(list.clone()).is_well_formed(MAX_ENTRY_PAYLOADS, budget));
+        assert!(!entry(list).is_well_formed(MAX_ENTRY_PAYLOADS, budget - 1));
+        // A single payload is never bounded by the budget.
+        assert!(entry(vec![payload(0, 4096)]).is_well_formed(MAX_ENTRY_PAYLOADS, 16));
+
+        assert_eq!(entry_byte_budget(2), MAX_ENTRY_BYTES);
+        for batch_size in [1, 2, 3, 16, 64, 1000] {
+            let budget = entry_byte_budget(batch_size);
+            assert!(budget <= MAX_ENTRY_BYTES);
+            assert!(batch_size * (budget + 4096) + 64 * 1024 <= MAX_LEN);
+        }
     }
 
     #[test]
@@ -881,9 +994,10 @@ mod tests {
             kind: PayloadKind::App,
             data: b"d".to_vec(),
         };
+        let payloads = [payload];
         assert_ne!(
-            statement_entry(&pid, 1, &payload),
-            statement_entry(&pid, 2, &payload)
+            statement_entry(&pid, 1, &payloads),
+            statement_entry(&pid, 2, &payloads)
         );
     }
 }

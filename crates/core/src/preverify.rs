@@ -43,7 +43,7 @@ use crate::config::GroupContext;
 use crate::ids::PartyId;
 use crate::message::{
     coin_name, statement_cb, statement_entry, statement_main_vote, statement_opt_ack,
-    statement_pre_vote, Body, Envelope,
+    statement_pre_vote, Body, Envelope, MAX_ENTRY_BYTES, MAX_ENTRY_PAYLOADS,
 };
 use crate::wire::Wire;
 
@@ -310,7 +310,12 @@ impl PreVerifier {
                 if entry.signer != from {
                     return PreVerified::invalid("entry signer");
                 }
-                let statement = statement_entry(pid, *round, &entry.payload);
+                // The loosest bounds any channel accepts; the channel
+                // re-checks its own configured cap and byte budget.
+                if !entry.is_well_formed(MAX_ENTRY_PAYLOADS, MAX_ENTRY_BYTES) {
+                    return PreVerified::invalid("entry payload list");
+                }
+                let statement = statement_entry(pid, *round, &entry.payloads);
                 let Some(key) = common.sig_publics.get(from.0) else {
                     return PreVerified::invalid("entry signer key");
                 };
@@ -497,16 +502,18 @@ mod tests {
     fn cached_verify_consumes_token_once() {
         let ctxs = contexts(4, 1);
         let pid = ProtocolId::new("ac");
-        let payload = Payload {
-            origin: PartyId(1),
-            seq: 0,
-            kind: PayloadKind::App,
-            data: b"x".to_vec(),
-        };
-        let statement = statement_entry(&pid, 0, &payload);
+        let payloads: Vec<Payload> = (0..3u64)
+            .map(|seq| Payload {
+                origin: PartyId(1),
+                seq,
+                kind: PayloadKind::App,
+                data: b"x".to_vec(),
+            })
+            .collect();
+        let statement = statement_entry(&pid, 0, &payloads);
         let sig = ctxs[1].keys().sig_key.sign(&statement);
         let entry = Entry {
-            payload,
+            payloads,
             signer: PartyId(1),
             sig: sig.clone(),
         };
@@ -528,6 +535,55 @@ mod tests {
         let wrong = ctxs[2].keys().sig_key.sign(&statement);
         ctxs[0].note_preverified([token]);
         assert!(!ctxs[0].verify_party_sig_cached(PartyId(1), &statement, &wrong));
+    }
+
+    #[test]
+    fn malformed_entry_lists_invalid() {
+        let ctxs = contexts(4, 1);
+        let pid = ProtocolId::new("ac");
+        let payload = Payload {
+            origin: PartyId(1),
+            seq: 0,
+            kind: PayloadKind::App,
+            data: b"x".to_vec(),
+        };
+        let verifier = PreVerifier::new(ctxs[0].clone());
+        // Validly signed, but empty, repeating an (origin, seq), over the
+        // cap, or two payloads over the byte budget.
+        let half = Payload {
+            data: vec![0; MAX_ENTRY_BYTES / 2],
+            ..payload.clone()
+        };
+        for payloads in [
+            vec![],
+            vec![payload.clone(), payload.clone()],
+            (0..=MAX_ENTRY_PAYLOADS as u64)
+                .map(|seq| Payload {
+                    seq,
+                    ..payload.clone()
+                })
+                .collect(),
+            vec![half.clone(), Payload { seq: 1, ..half }],
+        ] {
+            let sig = ctxs[1]
+                .keys()
+                .sig_key
+                .sign(&statement_entry(&pid, 0, &payloads));
+            let entry = Entry {
+                payloads,
+                signer: PartyId(1),
+                sig,
+            };
+            let result = verifier.pre_verify(
+                PartyId(1),
+                &envelope(&pid, Body::AcEntry { round: 0, entry }),
+            );
+            assert_eq!(
+                result.verdict,
+                PreVerdict::Invalid("entry payload list"),
+                "{result:?}"
+            );
+        }
     }
 
     #[test]

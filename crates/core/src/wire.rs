@@ -12,6 +12,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::invariant::OrInvariant;
+use crate::message::Payload;
 
 use sintra_bigint::Ubig;
 
@@ -154,6 +155,15 @@ pub fn put_len(buf: &mut Vec<u8>, len: usize) {
     buf.extend_from_slice(&len32.to_be_bytes());
 }
 
+/// Writes a length-prefixed list of items: the encoding of every
+/// `Vec<T>` the codec supports.
+pub fn put_list<T: Wire>(buf: &mut Vec<u8>, items: &[T]) {
+    put_len(buf, items.len());
+    for item in items {
+        item.encode(buf);
+    }
+}
+
 /// Writes a length-prefixed byte string.
 pub fn put_bytes(buf: &mut Vec<u8>, data: &[u8]) {
     put_len(buf, data.len());
@@ -193,7 +203,7 @@ impl Wire for u64 {
 /// `Wire` impls and diffs it against the committed golden; any schema
 /// change must bump this constant in the same commit, making wire breaks
 /// an explicit, reviewable event rather than a silent drift.
-pub const WIRE_FORMAT_VERSION: u32 = 1;
+pub const WIRE_FORMAT_VERSION: u32 = 2;
 
 /// Wire discriminants. Explicit and append-only: renumbering or reusing
 /// a tag byte is a wire-format break (`sintra-lint`'s `wire-stability`
@@ -271,10 +281,7 @@ macro_rules! impl_wire_vec {
     ($($t:ty),*) => {$(
         impl Wire for Vec<$t> {
             fn encode(&self, buf: &mut Vec<u8>) {
-                put_len(buf, self.len());
-                for item in self {
-                    item.encode(buf);
-                }
+                put_list(buf, self);
             }
             fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 let len = r.u32()? as usize;
@@ -400,7 +407,7 @@ impl Wire for SigShare {
     }
 }
 
-impl_wire_vec!(CoinShare, SigShare, DecryptionShare, Ubig);
+impl_wire_vec!(CoinShare, SigShare, DecryptionShare, Ubig, Payload);
 
 impl Wire for ThresholdSignature {
     fn encode(&self, buf: &mut Vec<u8>) {

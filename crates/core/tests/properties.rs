@@ -28,6 +28,26 @@ fn group(n: usize, t: usize, seed: u64) -> Vec<GroupContext> {
         .collect()
 }
 
+/// A strategy over atomic-channel payloads.
+fn payload_strategy() -> impl Strategy<Value = Payload> {
+    (
+        any::<u32>(),
+        any::<u64>(),
+        prop::collection::vec(any::<u8>(), 0..16),
+        any::<bool>(),
+    )
+        .prop_map(|(origin, seq, data, close)| Payload {
+            origin: PartyId(origin as usize),
+            seq,
+            kind: if close {
+                PayloadKind::Close
+            } else {
+                PayloadKind::App
+            },
+            data,
+        })
+}
+
 /// A strategy over structurally interesting message bodies.
 fn body_strategy() -> impl Strategy<Value = Body> {
     let bytes = prop::collection::vec(any::<u8>(), 0..64);
@@ -46,25 +66,14 @@ fn body_strategy() -> impl Strategy<Value = Body> {
         (
             any::<u64>(),
             any::<u32>(),
-            any::<u64>(),
-            bytes,
-            any::<bool>()
+            prop::collection::vec(payload_strategy(), 1..5),
         )
-            .prop_map(|(round, origin, seq, data, close)| Body::AcEntry {
+            .prop_map(|(round, signer, payloads)| Body::AcEntry {
                 round,
                 entry: sintra_core::message::Entry {
-                    payload: Payload {
-                        origin: PartyId(origin as usize),
-                        seq,
-                        kind: if close {
-                            PayloadKind::Close
-                        } else {
-                            PayloadKind::App
-                        },
-                        data,
-                    },
-                    signer: PartyId(origin as usize),
-                    sig: RsaSignature(sintra_bigint::Ubig::from(seq)),
+                    sig: RsaSignature(sintra_bigint::Ubig::from(payloads[0].seq)),
+                    payloads,
+                    signer: PartyId(signer as usize),
                 },
             }),
     ]
@@ -146,9 +155,25 @@ proptest! {
             data: data.clone(),
         };
         prop_assert_ne!(
-            statement_entry(&pid, round, &mk(seq_a)),
-            statement_entry(&pid, round, &mk(seq_b))
+            statement_entry(&pid, round, &[mk(seq_a)]),
+            statement_entry(&pid, round, &[mk(seq_b)])
         );
+    }
+
+    #[test]
+    fn entry_statement_binds_list_and_order(
+        round in any::<u64>(),
+        a in payload_strategy(),
+        b in payload_strategy(),
+    ) {
+        prop_assume!(a != b);
+        let pid = ProtocolId::new("ch");
+        let one = statement_entry(&pid, round, std::slice::from_ref(&a));
+        let ab = statement_entry(&pid, round, &[a.clone(), b.clone()]);
+        let ba = statement_entry(&pid, round, &[b, a]);
+        prop_assert_ne!(&one, &ab);
+        prop_assert_ne!(&one, &ba);
+        prop_assert_ne!(&ab, &ba);
     }
 
     #[test]

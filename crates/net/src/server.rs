@@ -494,7 +494,7 @@ fn flush<T: Transport>(
             let scope = root_scope(&ev.protocol);
             match ev.phase {
                 "round" | "epoch" => rec.counter_add(scope, "rounds", 1),
-                "batch" => rec.observe(scope, "batch_size", ev.bytes),
+                "batch" => rec.observe(scope, "payloads_per_round", ev.bytes),
                 _ => {}
             }
             if rec.enabled() {

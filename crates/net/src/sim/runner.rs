@@ -224,7 +224,7 @@ impl Simulation {
     }
 
     /// Stamps drained trace events with virtual time, derives the metrics
-    /// that depend on protocol phases (round counts, batch sizes), and
+    /// that depend on protocol phases (round counts, payloads per round), and
     /// forwards the events to the recorder.
     fn forward_traces(&self, time_us: VirtualTime, out: &mut Outgoing) {
         let Some(rec) = &self.recorder else { return };
@@ -233,7 +233,7 @@ impl Simulation {
             let scope = root_scope(&ev.protocol);
             match ev.phase {
                 "round" | "epoch" => rec.counter_add(scope, "rounds", 1),
-                "batch" => rec.observe(scope, "batch_size", ev.bytes),
+                "batch" => rec.observe(scope, "payloads_per_round", ev.bytes),
                 _ => {}
             }
             rec.trace(ev);

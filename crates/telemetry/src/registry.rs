@@ -223,9 +223,9 @@ mod tests {
     #[test]
     fn histograms_record_through_recorder() {
         let r = MetricsRegistry::new();
-        r.observe("atomic", "batch_size", 4);
-        r.observe("atomic", "batch_size", 9);
-        let h = r.histogram("atomic", "batch_size").expect("exists");
+        r.observe("atomic", "payloads_per_round", 4);
+        r.observe("atomic", "payloads_per_round", 9);
+        let h = r.histogram("atomic", "payloads_per_round").expect("exists");
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 13);
         assert!(r.histogram("atomic", "missing").is_none());

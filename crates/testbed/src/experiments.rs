@@ -106,12 +106,19 @@ fn run_channel_inner(
         sim.set_recorder(registry);
     }
     let n = sim.n();
+    // One payload per entry, as in the paper's prototype: every message
+    // is queued at t = 0, so larger entries would drain the queue in a few
+    // rounds and measure a different protocol from the paper's figures.
+    let atomic = AtomicChannelConfig {
+        max_entry_payloads: 1,
+        ..AtomicChannelConfig::default()
+    };
     for p in 0..n {
         let pid = pid.clone();
         let node = sim.node_mut(p);
         match kind {
-            ChannelKind::Atomic => node.create_atomic_channel(pid, AtomicChannelConfig::default()),
-            ChannelKind::Secure => node.create_secure_channel(pid, AtomicChannelConfig::default()),
+            ChannelKind::Atomic => node.create_atomic_channel(pid, atomic),
+            ChannelKind::Secure => node.create_secure_channel(pid, atomic),
             // Window 1 models the Java prototype's sequential sender
             // thread, which is what the paper's Table 1 latencies reflect.
             ChannelKind::Reliable => node.create_reliable_channel_windowed(pid, 1),

@@ -164,12 +164,14 @@ impl ByzantineActor for EntryForger {
             .map(|origin| {
                 // Forged signature bytes: must be rejected by everyone.
                 let entry = Entry {
-                    payload: Payload {
-                        origin: PartyId(origin),
-                        seq: 0,
-                        kind: PayloadKind::App,
-                        data: b"forged".to_vec(),
-                    },
+                    payloads: (0..2)
+                        .map(|seq| Payload {
+                            origin: PartyId(origin),
+                            seq,
+                            kind: PayloadKind::App,
+                            data: b"forged".to_vec(),
+                        })
+                        .collect(),
                     signer: PartyId(origin),
                     sig: sintra::crypto::rsa::RsaSignature(Ubig::from(12345u64)),
                 };

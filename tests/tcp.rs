@@ -183,6 +183,31 @@ fn close_wait_terminates_over_threads_via_shared_path() {
 }
 
 #[test]
+fn deep_queue_of_large_payloads_over_threads() {
+    // 64 queued payloads of 200 KiB would make one 12.8 MB entry, and a
+    // batch of two such entries would not fit one wire message; the
+    // entry byte budget splits them across rounds instead.
+    with_deadline(300, || {
+        let (group, mut handles) = ThreadedGroup::spawn(group_keys(4, 1, 97));
+        let pid = ProtocolId::new("large-payloads");
+        for h in &handles {
+            h.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
+        }
+        let payload = |i: u8| vec![i; 200 * 1024];
+        for i in 0..64 {
+            handles[0].send(&pid, payload(i));
+        }
+        for (p, h) in handles.iter_mut().enumerate() {
+            for i in 0..64 {
+                let got = h.receive(&pid).expect("delivery");
+                assert!(got.data == payload(i), "party {p}, payload {i}");
+            }
+        }
+        group.shutdown();
+    });
+}
+
+#[test]
 fn stalled_inbound_connections_do_not_starve_accepts() {
     // Regression for inbound handshakes running inline on the accept
     // loop: sockets that connect and then go silent each burn a full
