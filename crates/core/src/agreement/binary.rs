@@ -36,6 +36,7 @@ use crate::message::{
     coin_name, statement_main_vote, statement_pre_vote, Body, MainVote, MainVoteJust, PreVoteJust,
 };
 use crate::outgoing::Outgoing;
+use crate::preverify::{coin_token, ThresholdKey};
 use crate::validator::BinaryValidator;
 
 /// Which exchange of the current round this party is in.
@@ -297,18 +298,18 @@ impl BinaryAgreement {
             }
             PreVoteJust::Hard(sig) => {
                 round > 1
-                    && self
-                        .ctx
-                        .keys()
-                        .common
-                        .thsig_agreement
-                        .verify(&statement_pre_vote(&self.pid, round - 1, value), sig)
+                    && self.ctx.verify_threshold_cached(
+                        ThresholdKey::Agreement,
+                        &statement_pre_vote(&self.pid, round - 1, value),
+                        sig,
+                    )
             }
             PreVoteJust::Soft { sig, coin_shares } => {
                 if round <= 1 {
                     return false;
                 }
-                let abstain_ok = self.ctx.keys().common.thsig_agreement.verify(
+                let abstain_ok = self.ctx.verify_threshold_cached(
+                    ThresholdKey::Agreement,
                     &statement_main_vote(&self.pid, round - 1, MainVote::Abstain),
                     sig,
                 );
@@ -360,7 +361,7 @@ impl BinaryAgreement {
         let statement = statement_pre_vote(&self.pid, round, value);
         if !self
             .ctx
-            .verify_share_cached(&self.ctx.keys().common.thsig_agreement, &statement, share)
+            .verify_share_cached(ThresholdKey::Agreement, &statement, share)
         {
             return;
         }
@@ -377,12 +378,11 @@ impl BinaryAgreement {
     /// Checks a main-vote justification.
     fn main_vote_justified(&self, round: u32, vote: MainVote, just: &MainVoteJust) -> bool {
         match (vote, just) {
-            (MainVote::Value(b), MainVoteJust::Value(sig)) => self
-                .ctx
-                .keys()
-                .common
-                .thsig_agreement
-                .verify(&statement_pre_vote(&self.pid, round, b), sig),
+            (MainVote::Value(b), MainVoteJust::Value(sig)) => self.ctx.verify_threshold_cached(
+                ThresholdKey::Agreement,
+                &statement_pre_vote(&self.pid, round, b),
+                sig,
+            ),
             (
                 MainVote::Abstain,
                 MainVoteJust::Abstain {
@@ -424,7 +424,7 @@ impl BinaryAgreement {
         let statement = statement_main_vote(&self.pid, round, vote);
         if !self
             .ctx
-            .verify_share_cached(&self.ctx.keys().common.thsig_agreement, &statement, share)
+            .verify_share_cached(ThresholdKey::Agreement, &statement, share)
         {
             return;
         }
@@ -473,10 +473,7 @@ impl BinaryAgreement {
         // rest go through one batched verification.
         let mut unverified: Vec<CoinShare> = Vec::new();
         for share in pending {
-            if self
-                .ctx
-                .consume_preverified(&crate::preverify::coin_token(&name, &share))
-            {
+            if self.ctx.already_verified(&coin_token(&name, &share)) {
                 state.coin_shares.entry(share.index).or_insert(share);
             } else {
                 unverified.push(share);
@@ -510,11 +507,10 @@ impl BinaryAgreement {
             return;
         }
         let statement = statement_main_vote(&self.pid, round, MainVote::Value(value));
-        if !self.ctx.verify_threshold_cached(
-            &self.ctx.keys().common.thsig_agreement,
-            &statement,
-            sig,
-        ) {
+        if !self
+            .ctx
+            .verify_threshold_cached(ThresholdKey::Agreement, &statement, sig)
+        {
             return;
         }
         self.note_proof(value, proof);

@@ -20,6 +20,7 @@ use crate::config::GroupContext;
 use crate::ids::{PartyId, ProtocolId};
 use crate::message::{statement_cb, Body};
 use crate::outgoing::Outgoing;
+use crate::preverify::ThresholdKey;
 use crate::wire::{put_bytes, Reader, Wire};
 
 /// A consistent broadcast instance.
@@ -132,10 +133,13 @@ impl ConsistentBroadcast {
                     return;
                 }
                 let statement = statement_cb(&self.pid, payload);
-                let public = &self.ctx.keys().common.thsig_broadcast;
-                if !public.verify_share(&statement, share) {
+                if !self
+                    .ctx
+                    .verify_share_cached(ThresholdKey::Broadcast, &statement, share)
+                {
                     return;
                 }
+                let public = &self.ctx.keys().common.thsig_broadcast;
                 self.shares.push(share.clone());
                 if self.shares.len() >= public.threshold() {
                     if let Ok(sig) = public.assemble_preverified(&statement, &self.shares) {
@@ -160,11 +164,10 @@ impl ConsistentBroadcast {
                     return;
                 }
                 let statement = statement_cb(&self.pid, payload);
-                if self.ctx.verify_threshold_cached(
-                    &self.ctx.keys().common.thsig_broadcast,
-                    &statement,
-                    sig,
-                ) {
+                if self
+                    .ctx
+                    .verify_threshold_cached(ThresholdKey::Broadcast, &statement, sig)
+                {
                     self.delivered = Some((payload.clone(), sig.clone()));
                     out.trace_with(|| {
                         TraceEvent::new(self.ctx.me().0, self.pid.as_str(), "vcb")
@@ -328,16 +331,8 @@ impl VerifiableConsistentBroadcast {
     ) -> Option<ClosingMessage> {
         let msg = ClosingMessage::from_bytes(closing).ok()?;
         let statement = statement_cb(pid, &msg.payload);
-        if ctx
-            .keys()
-            .common
-            .thsig_broadcast
-            .verify(&statement, &msg.sig)
-        {
-            Some(msg)
-        } else {
-            None
-        }
+        ctx.verify_threshold_cached(ThresholdKey::Broadcast, &statement, &msg.sig)
+            .then_some(msg)
     }
 
     /// Boolean form of [`Self::validate_closing_bytes`], mirroring the

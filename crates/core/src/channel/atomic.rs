@@ -271,14 +271,16 @@ impl AtomicChannel {
             if batch.0.len() != batch_size {
                 return false;
             }
-            let keys = &ctx.keys().common.sig_publics;
             let mut signers = BTreeSet::new();
             batch.0.iter().all(|entry| {
-                entry.signer.0 < keys.len()
+                ctx.is_valid_party(entry.signer)
                     && signers.insert(entry.signer)
                     && entry.is_well_formed(cap, entry_bytes)
-                    && keys[entry.signer.0]
-                        .verify(&statement_entry(&pid, round, &entry.payloads), &entry.sig)
+                    && ctx.verify_party_sig_cached(
+                        entry.signer,
+                        &statement_entry(&pid, round, &entry.payloads),
+                        &entry.sig,
+                    )
             })
         })
     }

@@ -184,10 +184,9 @@ fn validate_state(pid: &ProtocolId, ctx: &GroupContext, epoch: u64, state: &Epoc
     if state.epoch != epoch || !ctx.is_valid_party(state.sender) {
         return false;
     }
-    let keys = &ctx.keys().common.sig_publics;
     let digest = EpochState::entries_digest(&state.entries);
     let statement = statement_opt_state(pid, epoch, &digest);
-    if !keys[state.sender.0].verify(&statement, &state.sig) {
+    if !ctx.verify_party_sig_cached(state.sender, &statement, &state.sig) {
         return false;
     }
     for entry in &state.entries {
@@ -201,7 +200,7 @@ fn validate_state(pid: &ProtocolId, ctx: &GroupContext, epoch: u64, state: &Epoc
             if idx >= ctx.n() || !seen.insert(idx) {
                 return false;
             }
-            if !keys[idx].verify(&statement, sig) {
+            if !ctx.verify_party_sig_cached(PartyId(idx), &statement, sig) {
                 return false;
             }
             valid += 1;

@@ -1,26 +1,27 @@
 //! Per-party protocol context: group parameters and key material.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use sintra_crypto::dealer::PartyKeys;
 use sintra_crypto::rsa::RsaSignature;
-use sintra_crypto::thsig::{SigShare, ThresholdSigPublic, ThresholdSignature};
+use sintra_crypto::thsig::{SigShare, ThresholdSignature};
 
 use crate::ids::PartyId;
-use crate::preverify::{rsa_token, share_token, threshold_token, PreToken, TokenCache};
+use crate::invariant::OrInvariant;
+use crate::preverify::{PreToken, SigCheck, ThresholdKey, VerifiedMemo};
 
 /// Everything a protocol instance needs to know about its environment:
 /// the group size, resilience, this party's identity and key material —
-/// plus the party's pre-verification receipt cache (see
+/// plus the party's verified-once memo of passed signature checks (see
 /// [`crate::preverify`]).
 ///
 /// Cheaply cloneable (`Arc` inside); every instance hosted by a party
-/// shares one context, so receipts deposited by the runtime are visible
-/// at every instance's verify sites.
+/// shares one context, so a signature one instance verified is a lookup
+/// at every other instance's verify sites.
 #[derive(Debug, Clone)]
 pub struct GroupContext {
     keys: Arc<PartyKeys>,
-    preverified: Arc<Mutex<TokenCache>>,
+    memo: Arc<Mutex<VerifiedMemo>>,
 }
 
 impl GroupContext {
@@ -28,7 +29,7 @@ impl GroupContext {
     pub fn new(keys: Arc<PartyKeys>) -> Self {
         GroupContext {
             keys,
-            preverified: Arc::new(Mutex::new(TokenCache::default())),
+            memo: Arc::new(Mutex::new(VerifiedMemo::default())),
         }
     }
 
@@ -112,67 +113,97 @@ impl GroupContext {
         id.0 < self.n()
     }
 
-    // --- pre-verification receipt cache ---------------------------------
+    // --- verified-once memo ----------------------------------------------
     //
-    // The runtime deposits tokens for checks the off-thread verify stage
-    // already performed; handlers consume them at their verify sites via
-    // the `*_cached` helpers below, falling back to the real check on a
-    // miss. See `crate::preverify` for the soundness argument.
+    // Every signature check in the crate runs through the helpers below:
+    // a check that passed before is a lookup, a new one runs and, if it
+    // passes, is memoized. See `crate::preverify` for what a token binds
+    // and why the memo is sound.
 
-    /// Deposits receipts for checks performed by the verify stage.
+    fn memo(&self) -> MutexGuard<'_, VerifiedMemo> {
+        self.memo
+            .lock()
+            .or_invariant("memo lock poisoned: a thread panicked while holding it")
+    }
+
+    /// Runs `check` unless an identical check already passed, memoizing
+    /// a pass. Returns the check's token on success; failures leave no
+    /// trace. The lock is not held across the check itself.
+    pub(crate) fn check_once(&self, check: SigCheck<'_>) -> Option<PreToken> {
+        let token = check.token();
+        if self.memo().contains(&token) {
+            return Some(token);
+        }
+        if !check.run(&self.keys.common) {
+            return None;
+        }
+        self.memo().insert(token);
+        Some(token)
+    }
+
+    /// Records the tokens of checks the off-thread verify stage passed.
     pub fn note_preverified<I: IntoIterator<Item = PreToken>>(&self, tokens: I) {
-        let mut cache = self.preverified.lock().unwrap();
+        let mut memo = self.memo();
         for token in tokens {
-            cache.insert(token);
+            memo.insert(token);
         }
     }
 
-    /// Consumes a receipt, reporting whether the check already ran.
-    pub fn consume_preverified(&self, token: &PreToken) -> bool {
-        self.preverified.lock().unwrap().consume(token)
+    /// Whether the check behind `token` already passed for this party.
+    pub(crate) fn already_verified(&self, token: &PreToken) -> bool {
+        self.memo().contains(token)
     }
 
-    /// Number of outstanding (deposited, unconsumed) receipts.
-    pub fn preverified_len(&self) -> usize {
-        self.preverified.lock().unwrap().len()
+    /// Number of memoized checks.
+    #[cfg(test)]
+    pub(crate) fn memo_len(&self) -> usize {
+        self.memo().len()
     }
 
-    /// [`ThresholdSigPublic::verify_share`] with receipt short-circuit.
+    /// Verifies a share under the threshold key `key`, once.
     pub fn verify_share_cached(
         &self,
-        public: &ThresholdSigPublic,
+        key: ThresholdKey,
         statement: &[u8],
         share: &SigShare,
     ) -> bool {
-        self.consume_preverified(&share_token(statement, share))
-            || public.verify_share(statement, share)
+        self.check_once(SigCheck::Share {
+            key,
+            statement,
+            share,
+        })
+        .is_some()
     }
 
-    /// [`ThresholdSigPublic::verify`] with receipt short-circuit.
+    /// Verifies an assembled signature under the threshold key `key`,
+    /// once.
     pub fn verify_threshold_cached(
         &self,
-        public: &ThresholdSigPublic,
+        key: ThresholdKey,
         statement: &[u8],
         sig: &ThresholdSignature,
     ) -> bool {
-        self.consume_preverified(&threshold_token(statement, sig)) || public.verify(statement, sig)
+        self.check_once(SigCheck::Threshold {
+            key,
+            statement,
+            sig,
+        })
+        .is_some()
     }
 
-    /// Verifies `signer`'s standard RSA signature over `statement`, with
-    /// receipt short-circuit.
+    /// Verifies `signer`'s standard RSA signature over `statement`, once.
     pub fn verify_party_sig_cached(
         &self,
         signer: PartyId,
         statement: &[u8],
         sig: &RsaSignature,
     ) -> bool {
-        self.consume_preverified(&rsa_token(statement, sig))
-            || self
-                .keys
-                .common
-                .sig_publics
-                .get(signer.0)
-                .is_some_and(|key| key.verify(statement, sig))
+        self.check_once(SigCheck::Party {
+            signer,
+            statement,
+            sig,
+        })
+        .is_some()
     }
 }
 

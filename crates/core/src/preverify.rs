@@ -1,4 +1,5 @@
-//! Stateless pre-verification of incoming envelopes.
+//! Stateless pre-verification of incoming envelopes, and the per-party
+//! verified-once memo every signature check in the crate goes through.
 //!
 //! The expensive cryptographic checks on SINTRA's hot receive path —
 //! Shoup signature-share verifies, DLEQ coin-share proofs, assembled
@@ -8,20 +9,50 @@
 //! runtime can run them on worker threads without touching the [`Node`]
 //! (verification needs no protocol state lock).
 //!
-//! Soundness hinges on how results are communicated: a successful check
-//! yields an opaque [`PreToken`] — a hash binding the *exact statement
-//! bytes* and the *exact wire encoding* of the verified object. The
-//! runtime deposits tokens into the party's [`GroupContext`] cache just
-//! before dispatching the envelope, and handlers consult the cache at
-//! their existing verify sites via [`GroupContext::verify_share_cached`]
-//! and friends: cache hit ⇒ the check already ran, skip it; miss ⇒ fall
-//! back to the inline verification that has always been there. Because
-//! the handler recomputes the statement from its *own* instance pid, a
-//! pre-verifier that checked a different statement (say, for a forged
-//! descendant pid) simply never produces a matching token — the handler
-//! re-verifies and the forgery fails exactly as it would without the
-//! pipeline. Skipping a check is only ever possible when the handler
-//! would have performed that same check on those same bytes.
+//! # The verified-once memo
+//!
+//! The same signature reaches a party many times: an ABBA justification
+//! rides on every vote that cites it, a consistent-broadcast closing on
+//! every VBA vote, an entry signature on every proposal that batches it.
+//! Each party's [`GroupContext`] therefore keeps a bounded memo of checks
+//! that passed, and every signature check in the crate goes through it
+//! ([`GroupContext::verify_share_cached`] and friends): a passed check
+//! inserts a [`PreToken`], an identical later check is a lookup.
+//!
+//! * **What a token binds.** A token is the SHA-256 of the check kind
+//!   (share, assembled signature, party signature, coin share), the key
+//!   family (party RSA, `thsig_agreement`, `thsig_broadcast`, coin), the
+//!   signer index for party signatures, the length-prefixed statement
+//!   bytes and the wire encoding of the verified object. A hit therefore
+//!   vouches only for the check that produced it: party 1's entry
+//!   signature replayed under `signer = 2` hashes differently and is
+//!   verified against party 2's key (and fails), and a `thsig_broadcast`
+//!   token never satisfies a `thsig_agreement` check. Handlers recompute
+//!   the statement from their own instance pid, so a token for a forged
+//!   descendant pid never matches either.
+//! * **Per party.** The memo lives only in the party's [`GroupContext`]:
+//!   never in key material, a static or a thread-local. Several parties
+//!   may share a process and their keys; one party's verdicts are never
+//!   another's, and crypto micro-benchmarks keep timing the primitives.
+//! * **Bounded.** At most `MEMO_CAP` (256) tokens, evicted oldest first
+//!   (FIFO). Eviction only costs a repeated verification, so memory stays
+//!   constant however many distinct valid signatures a keyed adversary
+//!   sends.
+//! * **Failures are never stored.** A failed check leaves no trace, so a
+//!   forgery is re-verified (and rejected) every time it is presented and
+//!   can neither evict anything nor poison a later verdict.
+//! * **Pool receipts are ordinary inserts.** A successful pre-verification
+//!   yields the token of the check it ran, built by the same
+//!   `SigCheck::token` the inline helpers use; the runtime inserts it
+//!   into the node's memo just before dispatching the envelope, and the
+//!   handler's own check then hits. Skipping a check is only ever possible
+//!   when the handler would have performed that same check on those same
+//!   bytes.
+//!
+//! No message, wire byte or protocol decision depends on the memo; only
+//! the number of exponentiations does.
+//!
+//! # Verdicts
 //!
 //! Invalid envelopes get a [`PreVerdict::Invalid`] with a blame reason
 //! (per-share blame for batched coin verification comes from
@@ -35,9 +66,10 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use sintra_crypto::coin::CoinShare;
+use sintra_crypto::dealer::CommonKeys;
 use sintra_crypto::hash::Sha256;
 use sintra_crypto::rsa::RsaSignature;
-use sintra_crypto::thsig::{SigShare, ThresholdSignature};
+use sintra_crypto::thsig::{SigShare, ThresholdSigPublic, ThresholdSignature};
 
 use crate::config::GroupContext;
 use crate::ids::PartyId;
@@ -47,61 +79,173 @@ use crate::message::{
 };
 use crate::wire::Wire;
 
-/// An opaque receipt for one successfully pre-verified check: the hash
-/// of the statement bytes and the verified object's wire encoding.
+/// An opaque receipt for one passed check: the hash of what was checked,
+/// against which key (see the module docs).
 pub type PreToken = [u8; 32];
 
-/// Hashes `(tag, statement, wire encoding of item)` into a token. The
-/// statement is length-prefixed so distinct `(statement, item)` splits
-/// of the same byte string cannot collide.
-fn token(tag: u8, statement: &[u8], item: &impl Wire) -> PreToken {
-    let mut buf = Vec::with_capacity(statement.len() + 80);
-    buf.push(tag);
-    buf.extend_from_slice(&(statement.len() as u64).to_be_bytes());
-    buf.extend_from_slice(statement);
-    item.encode(&mut buf);
-    Sha256::digest(&buf)
+/// Check kinds, the first byte of every token.
+const KIND_SHARE: u8 = 1;
+const KIND_THRESHOLD: u8 = 2;
+const KIND_PARTY_SIG: u8 = 3;
+const KIND_COIN: u8 = 4;
+
+/// Key families, the second byte of every token.
+const FAMILY_PARTY: u8 = 0;
+const FAMILY_AGREEMENT: u8 = 1;
+const FAMILY_BROADCAST: u8 = 2;
+const FAMILY_COIN: u8 = 3;
+
+/// Hashes `(kind, family, signer, statement, wire encoding of item)` into
+/// a token. The prefix is fixed-width and the statement length-prefixed,
+/// so distinct checks cannot collide by re-splitting the same bytes.
+fn token(kind: u8, family: u8, signer: u64, statement: &[u8], item: &impl Wire) -> PreToken {
+    let mut hasher = Sha256::new();
+    hasher.update(&[kind, family]);
+    hasher.update(&signer.to_be_bytes());
+    hasher.update(&(statement.len() as u64).to_be_bytes());
+    hasher.update(statement);
+    hasher.update(&item.to_bytes());
+    hasher.finalize()
 }
 
-/// Token for a verified threshold-signature share over `statement`.
-pub fn share_token(statement: &[u8], share: &SigShare) -> PreToken {
-    token(1, statement, share)
-}
-
-/// Token for a verified assembled threshold signature over `statement`.
-pub fn threshold_token(statement: &[u8], sig: &ThresholdSignature) -> PreToken {
-    token(2, statement, sig)
-}
-
-/// Token for a verified plain RSA signature over `statement`.
-pub fn rsa_token(statement: &[u8], sig: &RsaSignature) -> PreToken {
-    token(3, statement, sig)
-}
-
-/// Token for a verified coin share for coin `name`.
+/// Token for a verified share of coin `name`.
 pub fn coin_token(name: &[u8], share: &CoinShare) -> PreToken {
-    token(4, name, share)
+    token(KIND_COIN, FAMILY_COIN, 0, name, share)
 }
 
-/// Cap on cached tokens. Tokens are normally consumed by the very next
-/// dispatch; leftovers only arise when a handler drops a message before
-/// its verify site (duplicate, bad justification, stale round). Evicting
-/// one merely costs an inline re-verification later, so a small bound
-/// suffices and memory stays fixed under Byzantine flooding.
-const TOKEN_CACHE_CAP: usize = 4096;
+/// Which of the group's two threshold-signature keys a check runs
+/// against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ThresholdKey {
+    /// `thsig_agreement` (`n - t` quorum): Byzantine agreement votes,
+    /// justifications and decisions.
+    Agreement,
+    /// `thsig_broadcast` (broadcast quorum): consistent-broadcast echoes,
+    /// finals and closing messages.
+    Broadcast,
+}
 
-/// Bounded FIFO set of outstanding pre-verification receipts.
+impl ThresholdKey {
+    /// The public key this family names.
+    pub(crate) fn public(self, common: &CommonKeys) -> &ThresholdSigPublic {
+        match self {
+            ThresholdKey::Agreement => &common.thsig_agreement,
+            ThresholdKey::Broadcast => &common.thsig_broadcast,
+        }
+    }
+
+    fn family(self) -> u8 {
+        match self {
+            ThresholdKey::Agreement => FAMILY_AGREEMENT,
+            ThresholdKey::Broadcast => FAMILY_BROADCAST,
+        }
+    }
+}
+
+/// One signature check: what is verified over which statement, against
+/// which key. The single place tokens for signatures are built.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SigCheck<'a> {
+    /// A threshold-signature share.
+    Share {
+        /// The threshold key.
+        key: ThresholdKey,
+        /// The signed statement.
+        statement: &'a [u8],
+        /// The share.
+        share: &'a SigShare,
+    },
+    /// An assembled threshold signature.
+    Threshold {
+        /// The threshold key.
+        key: ThresholdKey,
+        /// The signed statement.
+        statement: &'a [u8],
+        /// The signature.
+        sig: &'a ThresholdSignature,
+    },
+    /// A party's standard RSA signature.
+    Party {
+        /// Whose key must verify it.
+        signer: PartyId,
+        /// The signed statement.
+        statement: &'a [u8],
+        /// The signature.
+        sig: &'a RsaSignature,
+    },
+}
+
+impl SigCheck<'_> {
+    /// The memo token certifying this exact check.
+    pub(crate) fn token(&self) -> PreToken {
+        match *self {
+            SigCheck::Share {
+                key,
+                statement,
+                share,
+            } => token(KIND_SHARE, key.family(), 0, statement, share),
+            SigCheck::Threshold {
+                key,
+                statement,
+                sig,
+            } => token(KIND_THRESHOLD, key.family(), 0, statement, sig),
+            SigCheck::Party {
+                signer,
+                statement,
+                sig,
+            } => token(
+                KIND_PARTY_SIG,
+                FAMILY_PARTY,
+                signer.0 as u64,
+                statement,
+                sig,
+            ),
+        }
+    }
+
+    /// Runs the cryptographic check itself, bypassing any memo.
+    pub(crate) fn run(&self, common: &CommonKeys) -> bool {
+        match *self {
+            SigCheck::Share {
+                key,
+                statement,
+                share,
+            } => key.public(common).verify_share(statement, share),
+            SigCheck::Threshold {
+                key,
+                statement,
+                sig,
+            } => key.public(common).verify(statement, sig),
+            SigCheck::Party {
+                signer,
+                statement,
+                sig,
+            } => common
+                .sig_publics
+                .get(signer.0)
+                .is_some_and(|key| key.verify(statement, sig)),
+        }
+    }
+}
+
+/// Cap on memoized tokens per party. A round's distinct checks (a few
+/// dozen at n = 4) stay resident for several rounds, which is all the
+/// repeats need; memory stays fixed under Byzantine flooding.
+pub(crate) const MEMO_CAP: usize = 256;
+
+/// Bounded FIFO set of passed checks.
 #[derive(Debug, Default)]
-pub(crate) struct TokenCache {
+pub(crate) struct VerifiedMemo {
     set: BTreeSet<PreToken>,
     order: VecDeque<PreToken>,
 }
 
-impl TokenCache {
+impl VerifiedMemo {
+    /// Records a passed check, evicting the oldest token past the cap.
     pub(crate) fn insert(&mut self, token: PreToken) {
         if self.set.insert(token) {
             self.order.push_back(token);
-            if self.order.len() > TOKEN_CACHE_CAP {
+            if self.order.len() > MEMO_CAP {
                 if let Some(oldest) = self.order.pop_front() {
                     self.set.remove(&oldest);
                 }
@@ -109,12 +253,12 @@ impl TokenCache {
         }
     }
 
-    /// Removes `token`, reporting whether it was present. The FIFO entry
-    /// is left behind; its eventual eviction is a harmless no-op.
-    pub(crate) fn consume(&mut self, token: &PreToken) -> bool {
-        self.set.remove(token)
+    /// Whether the check behind `token` already passed.
+    pub(crate) fn contains(&self, token: &PreToken) -> bool {
+        self.set.contains(token)
     }
 
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.set.len()
     }
@@ -133,13 +277,13 @@ pub enum PreVerdict {
     Unchecked,
 }
 
-/// One envelope's pre-verification result: the verdict plus the receipt
-/// to deposit before dispatch (present only for [`PreVerdict::Valid`]).
+/// One envelope's pre-verification result: the verdict plus the token to
+/// memoize before dispatch (present only for [`PreVerdict::Valid`]).
 #[derive(Debug, Clone)]
 pub struct PreVerified {
     /// The verdict.
     pub verdict: PreVerdict,
-    /// Receipt for the performed check, if any.
+    /// Token of the passed check, if any.
     pub token: Option<PreToken>,
 }
 
@@ -220,6 +364,17 @@ impl PreVerifier {
         results
     }
 
+    /// Runs one signature check. The stage keeps no state: a pass yields
+    /// the check's token for the node's memo, and nothing is memoized
+    /// here.
+    fn check(&self, check: SigCheck<'_>, blame: &'static str) -> PreVerified {
+        if check.run(&self.ctx.keys().common) {
+            PreVerified::valid(check.token())
+        } else {
+            PreVerified::invalid(blame)
+        }
+    }
+
     /// Dispatches one envelope to its per-kind check. Coin shares are
     /// parked in `coin_groups` (their slot pre-filled as `Unchecked`)
     /// for grouped verification by the caller.
@@ -246,11 +401,14 @@ impl PreVerifier {
                     return PreVerified::invalid("pre-vote share index");
                 }
                 let statement = statement_pre_vote(pid, *round, *value);
-                if common.thsig_agreement.verify_share(&statement, share) {
-                    PreVerified::valid(share_token(&statement, share))
-                } else {
-                    PreVerified::invalid("pre-vote share")
-                }
+                self.check(
+                    SigCheck::Share {
+                        key: ThresholdKey::Agreement,
+                        statement: &statement,
+                        share,
+                    },
+                    "pre-vote share",
+                )
             }
             Body::BaMainVote {
                 round, vote, share, ..
@@ -262,11 +420,14 @@ impl PreVerifier {
                     return PreVerified::invalid("main-vote share index");
                 }
                 let statement = statement_main_vote(pid, *round, *vote);
-                if common.thsig_agreement.verify_share(&statement, share) {
-                    PreVerified::valid(share_token(&statement, share))
-                } else {
-                    PreVerified::invalid("main-vote share")
-                }
+                self.check(
+                    SigCheck::Share {
+                        key: ThresholdKey::Agreement,
+                        statement: &statement,
+                        share,
+                    },
+                    "main-vote share",
+                )
             }
             Body::BaCoinShare { round, share } => {
                 // Round 0 at a multi-valued root is the permutation coin,
@@ -292,19 +453,25 @@ impl PreVerifier {
                 }
                 let statement =
                     statement_main_vote(pid, *round, crate::message::MainVote::Value(*value));
-                if common.thsig_agreement.verify(&statement, sig) {
-                    PreVerified::valid(threshold_token(&statement, sig))
-                } else {
-                    PreVerified::invalid("decide signature")
-                }
+                self.check(
+                    SigCheck::Threshold {
+                        key: ThresholdKey::Agreement,
+                        statement: &statement,
+                        sig,
+                    },
+                    "decide signature",
+                )
             }
             Body::CbFinal { payload, sig } => {
                 let statement = statement_cb(pid, payload);
-                if common.thsig_broadcast.verify(&statement, sig) {
-                    PreVerified::valid(threshold_token(&statement, sig))
-                } else {
-                    PreVerified::invalid("cb-final signature")
-                }
+                self.check(
+                    SigCheck::Threshold {
+                        key: ThresholdKey::Broadcast,
+                        statement: &statement,
+                        sig,
+                    },
+                    "cb-final signature",
+                )
             }
             Body::AcEntry { round, entry } => {
                 if entry.signer != from {
@@ -316,14 +483,14 @@ impl PreVerifier {
                     return PreVerified::invalid("entry payload list");
                 }
                 let statement = statement_entry(pid, *round, &entry.payloads);
-                let Some(key) = common.sig_publics.get(from.0) else {
-                    return PreVerified::invalid("entry signer key");
-                };
-                if key.verify(&statement, &entry.sig) {
-                    PreVerified::valid(rsa_token(&statement, &entry.sig))
-                } else {
-                    PreVerified::invalid("entry signature")
-                }
+                self.check(
+                    SigCheck::Party {
+                        signer: from,
+                        statement: &statement,
+                        sig: &entry.sig,
+                    },
+                    "entry signature",
+                )
             }
             Body::OptAck {
                 phase,
@@ -336,14 +503,14 @@ impl PreVerifier {
                     return PreVerified::invalid("ack phase");
                 }
                 let statement = statement_opt_ack(pid, *phase, *epoch, *seq, digest);
-                let Some(key) = common.sig_publics.get(from.0) else {
-                    return PreVerified::invalid("ack signer key");
-                };
-                if key.verify(&statement, sig) {
-                    PreVerified::valid(rsa_token(&statement, sig))
-                } else {
-                    PreVerified::invalid("ack signature")
-                }
+                self.check(
+                    SigCheck::Party {
+                        signer: from,
+                        statement: &statement,
+                        sig,
+                    },
+                    "ack signature",
+                )
             }
             // Everything else either carries no signature or needs
             // protocol state to check (CbEcho: the sender's own payload;
@@ -361,6 +528,7 @@ mod tests {
     use crate::message::{Entry, MainVote, Payload, PayloadKind, PreVoteJust};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sintra_crypto::cost::CostScope;
     use sintra_crypto::dealer::{deal, DealerConfig, PartyKeys};
     use std::sync::Arc;
 
@@ -397,7 +565,12 @@ mod tests {
         let verifier = PreVerifier::new(ctxs[0].clone());
         let good = verifier.pre_verify(PartyId(1), &envelope(&pid, body(share.clone())));
         assert_eq!(good.verdict, PreVerdict::Valid);
-        assert_eq!(good.token, Some(share_token(&statement, &share)));
+        let agreement_share = |statement| SigCheck::Share {
+            key: ThresholdKey::Agreement,
+            statement,
+            share: &share,
+        };
+        assert_eq!(good.token, Some(agreement_share(&statement).token()));
         // Wrong claimed sender: index mismatch.
         let stolen = verifier.pre_verify(PartyId(2), &envelope(&pid, body(share.clone())));
         assert!(matches!(stolen.verdict, PreVerdict::Invalid(_)));
@@ -417,9 +590,12 @@ mod tests {
         );
         assert!(matches!(forged.verdict, PreVerdict::Invalid(_)));
         // A token for pid X never matches the statement for pid Y, so a
-        // descendant-pid forgery cannot consume the receipt.
+        // descendant-pid forgery never hits the memo.
         let other = statement_pre_vote(&ProtocolId::new("ba/child"), 1, true);
-        assert_ne!(share_token(&statement, &share), share_token(&other, &share));
+        assert_ne!(
+            agreement_share(&statement).token(),
+            agreement_share(&other).token()
+        );
     }
 
     #[test]
@@ -498,26 +674,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cached_verify_consumes_token_once() {
-        let ctxs = contexts(4, 1);
-        let pid = ProtocolId::new("ac");
+    /// A validly signed single-payload entry of `signer` for round 0.
+    fn signed_entry(ctxs: &[GroupContext], pid: &ProtocolId, signer: usize) -> (Vec<u8>, Entry) {
         let payloads: Vec<Payload> = (0..3u64)
             .map(|seq| Payload {
-                origin: PartyId(1),
+                origin: PartyId(signer),
                 seq,
                 kind: PayloadKind::App,
                 data: b"x".to_vec(),
             })
             .collect();
-        let statement = statement_entry(&pid, 0, &payloads);
-        let sig = ctxs[1].keys().sig_key.sign(&statement);
+        let statement = statement_entry(pid, 0, &payloads);
+        let sig = ctxs[signer].keys().sig_key.sign(&statement);
         let entry = Entry {
             payloads,
-            signer: PartyId(1),
-            sig: sig.clone(),
+            signer: PartyId(signer),
+            sig,
         };
-        let verifier = PreVerifier::new(ctxs[0].clone());
+        (statement, entry)
+    }
+
+    #[test]
+    fn pool_receipt_memoized_not_consumed() {
+        let ctxs = contexts(4, 1);
+        let pid = ProtocolId::new("ac");
+        let (statement, entry) = signed_entry(&ctxs, &pid, 1);
+        let sig = entry.sig.clone();
+        // The pool verifies with a context of its own, as runtimes do.
+        let pool_ctx = GroupContext::new(Arc::new(ctxs[0].keys().clone()));
+        let verifier = PreVerifier::new(pool_ctx);
         let result = verifier.pre_verify(
             PartyId(1),
             &envelope(&pid, Body::AcEntry { round: 0, entry }),
@@ -525,16 +710,120 @@ mod tests {
         assert_eq!(result.verdict, PreVerdict::Valid);
         let token = result.token.unwrap();
         ctxs[0].note_preverified([token]);
-        assert_eq!(ctxs[0].preverified_len(), 1);
-        // First consult hits the cache; the second falls back to a real
-        // verification, which still passes.
-        assert!(ctxs[0].verify_party_sig_cached(PartyId(1), &statement, &sig));
-        assert_eq!(ctxs[0].preverified_len(), 0);
-        assert!(ctxs[0].verify_party_sig_cached(PartyId(1), &statement, &sig));
-        // A cached token never lets a wrong signature through.
+        assert_eq!(ctxs[0].memo_len(), 1);
+        // The receipt is a memo entry, not a one-shot: every consult hits
+        // and none runs an exponentiation.
+        let scope = CostScope::enter();
+        for _ in 0..3 {
+            assert!(ctxs[0].verify_party_sig_cached(PartyId(1), &statement, &sig));
+        }
+        assert_eq!(scope.elapsed(), 0.0);
+        assert_eq!(ctxs[0].memo_len(), 1);
+        // A memoized token never lets a wrong signature through.
         let wrong = ctxs[2].keys().sig_key.sign(&statement);
-        ctxs[0].note_preverified([token]);
         assert!(!ctxs[0].verify_party_sig_cached(PartyId(1), &statement, &wrong));
+        assert_eq!(ctxs[0].memo_len(), 1);
+    }
+
+    #[test]
+    fn failed_check_never_memoized() {
+        let ctxs = contexts(4, 1);
+        let pid = ProtocolId::new("ac");
+        // Party 2 signs an entry that claims party 1 as its signer.
+        let (statement, _) = signed_entry(&ctxs, &pid, 1);
+        let forged = ctxs[2].keys().sig_key.sign(&statement);
+        for _ in 0..2 {
+            let scope = CostScope::enter();
+            assert!(!ctxs[0].verify_party_sig_cached(PartyId(1), &statement, &forged));
+            // Rejected by a real verification both times.
+            assert!(scope.elapsed() > 0.0);
+        }
+        assert_eq!(ctxs[0].memo_len(), 0);
+    }
+
+    #[test]
+    fn memo_binds_signer() {
+        let ctxs = contexts(4, 1);
+        let pid = ProtocolId::new("ac");
+        let (statement, entry) = signed_entry(&ctxs, &pid, 1);
+        assert!(ctxs[0].verify_party_sig_cached(PartyId(1), &statement, &entry.sig));
+        // The same signature replayed under another signer's name must be
+        // checked against that signer's key, which rejects it — otherwise
+        // one signer could fill two batch slots.
+        assert!(!ctxs[0].verify_party_sig_cached(PartyId(2), &statement, &entry.sig));
+        let replayed = Entry {
+            signer: PartyId(2),
+            ..entry
+        };
+        let result = PreVerifier::new(ctxs[0].clone()).pre_verify(
+            PartyId(2),
+            &envelope(
+                &pid,
+                Body::AcEntry {
+                    round: 0,
+                    entry: replayed,
+                },
+            ),
+        );
+        assert_eq!(result.verdict, PreVerdict::Invalid("entry signature"));
+    }
+
+    #[test]
+    fn memo_binds_threshold_key_family() {
+        // t = 0 makes the two quorums differ (broadcast 3, agreement 4),
+        // so a broadcast signature is not an agreement signature.
+        let ctxs = contexts(4, 0);
+        let statement = statement_cb(&ProtocolId::new("cb"), b"payload");
+        let shares: Vec<SigShare> = ctxs
+            .iter()
+            .map(|c| c.keys().thsig_broadcast.sign_share(&statement))
+            .collect();
+        let sig = ctxs[0]
+            .keys()
+            .common
+            .thsig_broadcast
+            .assemble(&statement, &shares)
+            .unwrap();
+        assert!(ctxs[0].verify_threshold_cached(ThresholdKey::Broadcast, &statement, &sig));
+        assert!(!ctxs[0].verify_threshold_cached(ThresholdKey::Agreement, &statement, &sig));
+        // Shares: a broadcast token is never an agreement token.
+        let share = |key| SigCheck::Share {
+            key,
+            statement: &statement,
+            share: &shares[1],
+        };
+        assert_ne!(
+            share(ThresholdKey::Broadcast).token(),
+            share(ThresholdKey::Agreement).token()
+        );
+    }
+
+    #[test]
+    fn memo_stays_at_cap() {
+        let ctxs = contexts(4, 1);
+        let pid = ProtocolId::new("ac");
+        let statements: Vec<Vec<u8>> = (0..MEMO_CAP as u64 + 8)
+            .map(|seq| statement_opt_ack(&pid, 1, 0, seq, &[0; 32]))
+            .collect();
+        let sigs: Vec<RsaSignature> = statements
+            .iter()
+            .map(|s| ctxs[1].keys().sig_key.sign(s))
+            .collect();
+        for (statement, sig) in statements.iter().zip(&sigs) {
+            assert!(ctxs[0].verify_party_sig_cached(PartyId(1), statement, sig));
+            assert!(ctxs[0].memo_len() <= MEMO_CAP);
+        }
+        assert_eq!(ctxs[0].memo_len(), MEMO_CAP);
+        // The first signature was evicted: it still verifies, for real.
+        let scope = CostScope::enter();
+        assert!(ctxs[0].verify_party_sig_cached(PartyId(1), &statements[0], &sigs[0]));
+        assert!(scope.elapsed() > 0.0);
+        assert_eq!(ctxs[0].memo_len(), MEMO_CAP);
+        // The newest one is still a lookup.
+        let scope = CostScope::enter();
+        let last = statements.len() - 1;
+        assert!(ctxs[0].verify_party_sig_cached(PartyId(1), &statements[last], &sigs[last]));
+        assert_eq!(scope.elapsed(), 0.0);
     }
 
     #[test]

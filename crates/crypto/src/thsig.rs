@@ -432,10 +432,9 @@ impl ThresholdSigPublic {
         }
     }
 
-    /// Like [`Self::assemble`] but skips per-share proof verification for
-    /// shares the caller already verified on receipt (multi-signature
-    /// shares are still checked — their verification *is* the assembly
-    /// invariant and is cheap).
+    /// Like [`Self::assemble`] but skips per-share verification: callers
+    /// must have verified every share on receipt. For both flavors only
+    /// the structural checks (count, index range, duplicates) remain.
     pub fn assemble_preverified(
         &self,
         message: &[u8],
@@ -443,7 +442,9 @@ impl ThresholdSigPublic {
     ) -> Result<ThresholdSignature> {
         match self {
             ThresholdSigPublic::ShoupRsa(p) => p.assemble_preverified(message, shares),
-            multi @ ThresholdSigPublic::Multi { .. } => multi.assemble(message, shares),
+            ThresholdSigPublic::Multi { k, keys } => {
+                Self::assemble_multi(*k, keys, message, shares, false)
+            }
         }
     }
 
@@ -456,33 +457,45 @@ impl ThresholdSigPublic {
         match self {
             ThresholdSigPublic::ShoupRsa(p) => p.assemble(message, shares),
             ThresholdSigPublic::Multi { k, keys } => {
-                if shares.len() < *k {
-                    return Err(CryptoError::NotEnoughShares {
-                        needed: *k,
-                        got: shares.len(),
-                    });
-                }
-                let mut out = Vec::with_capacity(*k);
-                let mut seen = vec![false; keys.len()];
-                for share in &shares[..*k] {
-                    if share.index >= keys.len() {
-                        return Err(CryptoError::InvalidShare { index: share.index });
-                    }
-                    if seen[share.index] {
-                        return Err(CryptoError::DuplicateShare { index: share.index });
-                    }
-                    seen[share.index] = true;
-                    let SigShareBody::Multi { sig } = &share.body else {
-                        return Err(CryptoError::InvalidShare { index: share.index });
-                    };
-                    if !keys[share.index].verify(message, sig) {
-                        return Err(CryptoError::InvalidShare { index: share.index });
-                    }
-                    out.push((share.index, sig.clone()));
-                }
-                Ok(ThresholdSignature::Multi(out))
+                Self::assemble_multi(*k, keys, message, shares, true)
             }
         }
+    }
+
+    /// Collects the first `k` multi-signature shares into a signature
+    /// vector, verifying each against its signer's key when `verify`.
+    fn assemble_multi(
+        k: usize,
+        keys: &[RsaPublicKey],
+        message: &[u8],
+        shares: &[SigShare],
+        verify: bool,
+    ) -> Result<ThresholdSignature> {
+        if shares.len() < k {
+            return Err(CryptoError::NotEnoughShares {
+                needed: k,
+                got: shares.len(),
+            });
+        }
+        let mut out = Vec::with_capacity(k);
+        let mut seen = vec![false; keys.len()];
+        for share in &shares[..k] {
+            if share.index >= keys.len() {
+                return Err(CryptoError::InvalidShare { index: share.index });
+            }
+            if seen[share.index] {
+                return Err(CryptoError::DuplicateShare { index: share.index });
+            }
+            seen[share.index] = true;
+            let SigShareBody::Multi { sig } = &share.body else {
+                return Err(CryptoError::InvalidShare { index: share.index });
+            };
+            if verify && !keys[share.index].verify(message, sig) {
+                return Err(CryptoError::InvalidShare { index: share.index });
+            }
+            out.push((share.index, sig.clone()));
+        }
+        Ok(ThresholdSignature::Multi(out))
     }
 
     /// Verifies an assembled threshold signature over `message`.
@@ -685,6 +698,14 @@ mod tests {
         let sig = kits[0].public.assemble(msg, &shares[..3]).unwrap();
         assert!(kits[0].public.verify(msg, &sig));
         assert!(!kits[0].public.verify(b"x", &sig));
+        // Shares verified on receipt assemble without re-verification.
+        let scope = cost::CostScope::enter();
+        let trusted = kits[0]
+            .public
+            .assemble_preverified(msg, &shares[..3])
+            .unwrap();
+        assert_eq!(scope.elapsed(), 0.0);
+        assert_eq!(trusted, sig);
     }
 
     #[test]
@@ -692,14 +713,20 @@ mod tests {
         let kits = multi_setup(3, 2);
         let msg = b"m";
         let s0 = kits[0].sign_share(msg);
-        assert!(matches!(
-            kits[0].public.assemble(msg, std::slice::from_ref(&s0)),
-            Err(CryptoError::NotEnoughShares { needed: 2, got: 1 })
-        ));
-        assert!(matches!(
-            kits[0].public.assemble(msg, &[s0.clone(), s0]),
-            Err(CryptoError::DuplicateShare { index: 0 })
-        ));
+        let public = &kits[0].public;
+        for assemble in [
+            ThresholdSigPublic::assemble,
+            ThresholdSigPublic::assemble_preverified,
+        ] {
+            assert!(matches!(
+                assemble(public, msg, std::slice::from_ref(&s0)),
+                Err(CryptoError::NotEnoughShares { needed: 2, got: 1 })
+            ));
+            assert!(matches!(
+                assemble(public, msg, &[s0.clone(), s0.clone()]),
+                Err(CryptoError::DuplicateShare { index: 0 })
+            ));
+        }
     }
 
     #[test]

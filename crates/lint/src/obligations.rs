@@ -94,7 +94,7 @@ pub const OBLIGATIONS: &[Obligation] = &[
     },
     Obligation {
         variant: "CbEcho",
-        discharge: Discharge::Strict(&["verify_share"]),
+        discharge: Discharge::Strict(&["verify_share_cached"]),
         preverify: false,
     },
     Obligation {
@@ -115,7 +115,7 @@ pub const OBLIGATIONS: &[Obligation] = &[
     Obligation {
         variant: "BaCoinShare",
         discharge: Discharge::Deferred {
-            verifiers: &["verify_share", "verify_shares", "consume_preverified"],
+            verifiers: &["verify_share", "verify_shares", "already_verified"],
             reason: "shares are parked per-sender (bounded by n per round) and batch-verified at quorum",
         },
         preverify: true,
@@ -510,6 +510,9 @@ fn range_events(
                     if !path.contains("crates/core/src/") && !path.contains("crates/net/src/") {
                         continue;
                     }
+                    if is_memo_helper(path, &t.text) {
+                        continue;
+                    }
                     if visited.insert(callee) {
                         range_events(ir, callee.0, f.body, verifiers, visited, depth - 1, events);
                     }
@@ -518,6 +521,25 @@ fn range_events(
         }
         i += 1;
     }
+}
+
+/// Whether the callee `name` defined in `path` is one of the group
+/// context's memoized signature checks: a verifier registered for some
+/// obligation and defined in `crates/core/src/config.rs` or
+/// `crates/core/src/preverify.rs`. A call to such a helper (an ABBA vote
+/// checking its justification's threshold signature, say) is a check,
+/// not a protocol-state mutation, so it is not expanded and the
+/// verified-once memo it records passed checks in is not mistaken for
+/// handler state. A same-named function defined anywhere else is
+/// expanded as usual.
+fn is_memo_helper(path: &str, name: &str) -> bool {
+    let memo_file = path.ends_with("crates/core/src/config.rs")
+        || path.ends_with("crates/core/src/preverify.rs");
+    memo_file
+        && OBLIGATIONS.iter().any(|o| match o.discharge {
+            Discharge::Strict(v) | Discharge::Deferred { verifiers: v, .. } => v.contains(&name),
+            Discharge::Exempt(_) => false,
+        })
 }
 
 /// Whether any registered verifier is called in the file's non-test code.

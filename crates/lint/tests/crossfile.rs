@@ -18,6 +18,7 @@ const MSG: &str = "crates/core/src/message.rs";
 const HANDLER: &str = "crates/core/src/channel/fixture.rs";
 const HANDLER2: &str = "crates/core/src/channel/handlers.rs";
 const WIRE: &str = "crates/core/src/wire.rs";
+const CONFIG: &str = "crates/core/src/config.rs";
 
 fn fixture(dir: &str, which: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -32,6 +33,10 @@ fn vb_files(which: &str) -> Vec<(String, String)> {
         (
             MSG.to_string(),
             fixture("verify-before-mutate", "message.rs"),
+        ),
+        (
+            CONFIG.to_string(),
+            fixture("verify-before-mutate", "config.rs"),
         ),
         (HANDLER.to_string(), fixture("verify-before-mutate", which)),
     ]
@@ -80,6 +85,26 @@ fn verify_before_mutate_pass_is_silent() {
     assert!(
         findings.is_empty(),
         "pass fixture produced findings: {findings:#?}"
+    );
+}
+
+#[test]
+fn verify_before_mutate_expands_same_named_local_helper() {
+    // Only the group context's memoized checks (config.rs / preverify.rs)
+    // are exempt from expansion; a handler-local function sharing a
+    // registered verifier's name is expanded, and its mutation reported.
+    let findings = analyze_sources(&vb_files("trigger-local-verifier.rs"), None);
+    let open = open(&findings, rules::VERIFY_MUTATE);
+    assert_eq!(
+        open.len(),
+        1,
+        "expected exactly the AcEntry violation: {findings:#?}"
+    );
+    assert_eq!(open[0].path, HANDLER);
+    assert!(
+        open[0].message.contains("AcEntry"),
+        "finding names the wrong variant: {:?}",
+        open[0]
     );
 }
 

@@ -4,7 +4,7 @@
 impl Channel {
     fn on_echo(&mut self, from: PartyId, share: &SigShare) {
         self.pending.insert(from, share.clone());
-        if !self.verify_share(share) {
+        if !self.verify_share_cached(share) {
             self.pending.remove(&from);
         }
     }

@@ -7,7 +7,7 @@ impl Channel {
         match body {
             Body::CbEcho(share) => {
                 self.echoes.insert(from, share.clone());
-                if !self.verify_share(share) {
+                if !self.verify_share_cached(share) {
                     self.echoes.remove(&from);
                 }
             }

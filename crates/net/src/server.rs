@@ -98,7 +98,7 @@ pub(crate) struct VerifiedEnvelope {
     /// recv trace reports `admit_at → dispatch` as the verify-queue
     /// wait, so the profiler can separate queueing from crypto+compute.
     pub admit_at: Instant,
-    /// The verify stage's verdict plus the receipt to deposit.
+    /// The verify stage's verdict plus the token to memoize.
     pub result: PreVerified,
 }
 
@@ -928,9 +928,9 @@ pub(crate) fn server_loop<T: Transport>(
                         continue;
                     }
                     if let Some(token) = v.result.token {
-                        // Deposit the pre-verification token right before
-                        // dispatch; the handler's own verify site consumes
-                        // it and skips the redundant crypto.
+                        // Memoize the pool's passed check right before
+                        // dispatch; the handler's own verify site (and any
+                        // later identical check) is then a lookup.
                         node.context().note_preverified([token]);
                     }
                     dispatch_net(

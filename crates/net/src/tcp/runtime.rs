@@ -338,8 +338,8 @@ impl TcpGroup {
             };
             let keys = Arc::clone(keys);
             // The pool gets its own GroupContext: workers only need key
-            // material (verification is stateless); receipts are
-            // deposited loop-side into the node's own context.
+            // material (verification is stateless); their tokens are
+            // memoized loop-side in the node's own context.
             let pool = config.pipeline.is_enabled().then(|| {
                 VerifyPool::spawn(
                     sintra_core::GroupContext::new(Arc::clone(&keys)),

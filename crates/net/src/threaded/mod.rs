@@ -218,8 +218,8 @@ impl ThreadedGroup {
             };
             let keys = Arc::clone(keys);
             // The pool gets its own GroupContext: workers only need key
-            // material (verification is stateless); receipts are
-            // deposited loop-side into the node's own context.
+            // material (verification is stateless); their tokens are
+            // memoized loop-side in the node's own context.
             let pool = pipeline.is_enabled().then(|| {
                 VerifyPool::spawn(
                     GroupContext::new(Arc::clone(&keys)),
